@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
 from .eig_oracle import GridSpec, default_grid
@@ -50,7 +49,9 @@ __all__ = [
     "scale",
 ]
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton refinement of the maximizing shift: step tolerance and iteration cap
+SHIFT_TOL = 1e-12
+SHIFT_ITERATIONS = 100
 
 
 class GridMismatch(ValueError):
@@ -139,8 +140,6 @@ class ManifoldProjection:
     overlap: float
     distance_sq: float
     edge_attained: bool
-    scan_shifts: np.ndarray
-    scan_values: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -177,6 +176,9 @@ class CylinderModel:
         self.psi_values = psi(params, self.t)
         self.psi_prime_values = psi_prime(params, self.t)
         self.psi_pow_values = self.psi_values**params.p
+        # spectrum of the reversed Psi^p, zero-padded to 2n: one product with
+        # rfft(v) is the full linear correlation that the shift scan needs
+        self.psi_pow_spectrum = np.fft.rfft(self.psi_pow_values[::-1], 2 * n)
         p = params.p
         # calibrated constants: the grid problem reproduces the variational
         # identities exactly, so the bubble itself is at distance zero
@@ -283,28 +285,39 @@ class CylinderModel:
             total += self.h * float(np.dot(u.mode(d), v.mode(d)))
         return total
 
-    def lp1_pow(self, v: CylinderFunction) -> float:
-        """int |v|^(p+1) over the cylinder."""
+    def lp1_pow(self, v: CylinderFunction, with_gradient: bool = False):
+        """int |v|^(p+1) over the cylinder.
+
+        With ``with_gradient`` the result is ``(value, grads)``, where
+        ``grads[d]`` is the gradient with respect to the samples of the degree-d
+        profile; both come from one pass over the core |v|^(p-1) v.
+        """
         self._check(v)
         p = self.params.p
         if v.degrees == (0,):
-            f0 = v.mode(0)
-            return self.area ** (1.0 - (p + 1.0) / 2.0) * self.h * float(
-                np.sum(np.abs(f0) ** (p + 1.0))
-            )
-        values = self._sample(v)
-        axis = np.abs(values) ** (p + 1.0)
-        return self.angle_prefactor * self.h * float(np.sum(axis @ self.angle_w))
+            profiles = v.mode(0)[:, None]
+            per_degree = np.abs(profiles) ** (p - 1.0) * profiles
+            weight = self.area ** (1.0 - (p + 1.0) / 2.0) * self.h
+        else:
+            profiles = np.stack([f for _, f in v.modes], axis=1)
+            harmonics = np.stack([self.harmonic_values(d) for d in v.degrees])
+            values = profiles @ harmonics  # v(t_k, phi_m) on the tensor grid
+            # worked in place: a fresh temporary of this size costs more to
+            # allocate than the arithmetic on it
+            core = np.abs(values)
+            np.power(core, p - 1.0, out=core)
+            core *= values
+            # chain rule through v(t_k, phi_m) = sum_d f_d(t_k) Y_d(phi_m)
+            per_degree = core @ (self.angle_w[:, None] * harmonics.T)
+            weight = self.angle_prefactor * self.h
+        value = weight * float(np.sum(profiles * per_degree))
+        if not with_gradient:
+            return value
+        per_degree *= weight * (p + 1.0)
+        return value, {d: per_degree[:, i] for i, d in enumerate(v.degrees)}
 
     def lp1_norm(self, v: CylinderFunction) -> float:
         return self.lp1_pow(v) ** (1.0 / (self.params.p + 1.0))
-
-    def _sample(self, v: CylinderFunction) -> np.ndarray:
-        """Values v(t_k, phi_m) on the tensor grid."""
-        out = np.zeros((self.grid.nodes, self.angle_nodes))
-        for d, f in v.modes:
-            out += np.outer(f, self.harmonic_values(d))
-        return out
 
     # ------------------------------------------------------------------
     # manifold machinery
@@ -314,10 +327,28 @@ class CylinderModel:
         shifted_pow = psi(self.params, self.t - s) ** self.params.p
         return self.sqrt_area * self.h * float(np.dot(v.mode(0), shifted_pow))
 
+    def _overlap_derivatives(self, f0: np.ndarray, s: float) -> tuple[float, float, float]:
+        """<v, Psi_s^p> and its first two shift derivatives, from the radial profile.
+
+        With x = gamma (t - s) and d = a_c - a,
+        d/ds Psi_s^p = p d tanh(x) Psi_s^p and
+        d^2/ds^2 Psi_s^p = p d (p d tanh^2(x) - gamma sech^2(x)) Psi_s^p.
+        """
+        params = self.params
+        pd = params.p * params.ac_minus_a
+        th = np.tanh(params.gamma * (self.t - s))
+        weighted = f0 * psi(params, self.t - s) ** params.p
+        c = self.sqrt_area * self.h
+        return (
+            c * float(np.sum(weighted)),
+            c * pd * float(np.dot(weighted, th)),
+            c * pd * float(np.dot(weighted, pd * th * th - params.gamma * (1.0 - th * th))),
+        )
+
     def _overlap_scan(self, v: CylinderFunction) -> tuple[np.ndarray, np.ndarray]:
         """Overlap at every grid shift inside the search window |s| <= T/2."""
-        corr = fftconvolve(v.mode(0), self.psi_pow_values[::-1])
         n = self.grid.nodes
+        corr = np.fft.irfft(np.fft.rfft(v.mode(0), 2 * n) * self.psi_pow_spectrum, 2 * n)
         j_max = (n - 1) // 4
         j = np.arange(-j_max, j_max + 1)
         shifts = j * self.h
@@ -328,52 +359,47 @@ class CylinderModel:
         """Squared distance to the manifold of scaled, shifted bubbles.
 
         A full correlation scan over grid shifts locates the global maximum of
-        the squared overlap; golden-section refinement then resolves the
-        maximizing shift to 1e-10.
+        the squared overlap.  A safeguarded Newton iteration on the shift
+        derivative of the overlap, started at the grid maximum and kept inside
+        the neighbouring grid cells, then resolves the maximizing shift to
+        roundoff; a step that would leave the bracket, move the wrong way or
+        fail to halve falls back to bisection.
         """
         self._check(v)
         shifts, values = self._overlap_scan(v)
-        sq = values * values
-        best = int(np.argmax(sq))
+        best = int(np.argmax(values * values))
         edge = best <= 1 or best >= len(shifts) - 2
         lo = shifts[max(best - 1, 0)]
         hi = shifts[min(best + 1, len(shifts) - 1)]
-
-        def objective(s: float) -> float:
-            ov = self.overlap(v, s)
-            return ov * ov
-
-        a, b = lo, hi
-        fa_x = a + (1.0 - GOLDEN) * (b - a)
-        fb_x = a + GOLDEN * (b - a)
-        fa, fb = objective(fa_x), objective(fb_x)
-        iterations = 0
-        while b - a > 1e-10 and iterations < 200:
-            if fa < fb:
-                a, fa_x, fa = fa_x, fb_x, fb
-                fb_x = a + GOLDEN * (b - a)
-                fb = objective(fb_x)
+        f0 = v.mode(0)
+        s_star = shifts[best]
+        last_step = hi - lo
+        for _ in range(SHIFT_ITERATIONS):
+            ov, d1, d2 = self._overlap_derivatives(f0, s_star)
+            if not math.isfinite(ov * d1 * d2):
+                raise SearchFailure("shift refinement met a non-finite overlap")
+            # keep the maximum of ov^2 bracketed: it rises to the right when ov * d1 > 0
+            if ov * d1 > 0.0:
+                lo = s_star
             else:
-                b, fb_x, fb = fb_x, fa_x, fa
-                fa_x = a + (1.0 - GOLDEN) * (b - a)
-                fa = objective(fa_x)
-            iterations += 1
-        if iterations >= 200:
+                hi = s_star
+            step = -d1 / d2 if ov * d2 < 0.0 else math.inf
+            if not (lo <= s_star + step <= hi and abs(step) <= 0.5 * abs(last_step)):
+                step = 0.5 * (lo + hi) - s_star
+            s_star += step
+            last_step = step
+            if abs(step) <= SHIFT_TOL:
+                break
+        else:
             raise SearchFailure("shift refinement did not converge")
-        s_star = 0.5 * (a + b)
         ov = self.overlap(v, s_star)
         h1_sq = self.h1_inner(v, v)
-        dist_sq = h1_sq - self.kappa * ov * ov
-        scalar = ov / self.lp1_pow_psi
-        stride = max(1, len(shifts) // 256)
         return ManifoldProjection(
             shift=s_star,
-            scalar=scalar,
+            scalar=ov / self.lp1_pow_psi,
             overlap=ov,
-            distance_sq=dist_sq,
+            distance_sq=h1_sq - self.kappa * ov * ov,
             edge_attained=bool(edge),
-            scan_shifts=shifts[::stride],
-            scan_values=values[::stride],
         )
 
     def project_mperp(self, v: CylinderFunction) -> CylinderFunction:

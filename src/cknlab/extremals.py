@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .params import CknParams
-from .specfun import beta, sphere_area
+from .specfun import beta, log_cosh, sphere_area
 
 __all__ = [
     "ExtremalProfile",
@@ -61,15 +61,10 @@ def profile(params: CknParams) -> ExtremalProfile:
     )
 
 
-def _log_cosh(x):
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
 def psi(params: CknParams, t):
     """Cylinder bubble Psi(t); vectorized and overflow-safe."""
     amp = profile(params).amplitude
-    return amp * np.exp(-(2.0 / (params.p - 1.0)) * _log_cosh(params.gamma * t))
+    return amp * np.exp(-(2.0 / (params.p - 1.0)) * log_cosh(params.gamma * t))
 
 
 def psi_prime(params: CknParams, t):

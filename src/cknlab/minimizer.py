@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderFunction, CylinderModel, combine, model_for, scale
+from .cylinder import (
+    CylinderFunction,
+    CylinderModel,
+    ManifoldProjection,
+    combine,
+    model_for,
+    scale,
+)
 from .eig_oracle import GridSpec
 from .energy import BoundsReport, bounds_report
 from .extremals import psi
@@ -91,6 +98,29 @@ class QuotientReport:
     start: str = "evaluation"
 
 
+@dataclass(frozen=True)
+class _Iterate:
+    """An L^{p+1}-normalized function with the pieces of its quotient and gradient.
+
+    Normalization makes int |v|^{p+1} = 1, so the numerator is h1 - C^-1.
+    """
+
+    v: CylinderFunction
+    h1: float
+    lp1_grads: dict
+    projection: ManifoldProjection
+    numerator: float
+
+    @property
+    def value(self) -> float:
+        return self.numerator / self.projection.distance_sq
+
+
+def _require_off_manifold(h1: float, projection: ManifoldProjection) -> None:
+    if projection.distance_sq <= ON_MANIFOLD_TOL * h1:
+        raise OnManifold("distance to the bubble manifold is numerically zero")
+
+
 class _Objective:
     """Quotient, gradient, and bookkeeping on a fixed model."""
 
@@ -98,91 +128,71 @@ class _Objective:
         self.model = model
         self.p = model.params.p
 
-    def pieces(self, v: CylinderFunction):
-        m = self.model
-        h1 = m.h1_inner(v, v)
-        lp1_pow = m.lp1_pow(v)
-        projection = m.distance_to_manifold(v)
-        numerator = h1 - m.c_inv * lp1_pow ** (2.0 / (self.p + 1.0))
-        return h1, lp1_pow, projection, numerator
+    def numerator(self, h1: float, lp1_pow: float) -> float:
+        return h1 - self.model.c_inv * lp1_pow ** (2.0 / (self.p + 1.0))
 
     def value(self, v: CylinderFunction):
-        h1, _, projection, numerator = self.pieces(v)
-        if projection.distance_sq <= ON_MANIFOLD_TOL * h1:
-            raise OnManifold("distance to the bubble manifold is numerically zero")
+        m = self.model
+        h1 = m.h1_inner(v, v)
+        numerator = self.numerator(h1, m.lp1_pow(v))
+        projection = m.distance_to_manifold(v)
+        _require_off_manifold(h1, projection)
         return numerator / projection.distance_sq, projection
 
-    def gradient(self, v: CylinderFunction):
+    def normalized(self, v: CylinderFunction) -> _Iterate:
+        """Rescale ``v`` to unit L^{p+1} norm, from one pass over its samples."""
+        m = self.model
+        lp1_pow, lp1_grads = m.lp1_pow(v, with_gradient=True)
+        c = 1.0 / lp1_pow ** (1.0 / (self.p + 1.0))
+        v = scale(v, c)
+        h1 = m.h1_inner(v, v)
+        # int |c v|^{p+1} = 1 by homogeneity, and its gradient scales by c^p
+        return _Iterate(
+            v=v,
+            h1=h1,
+            lp1_grads={d: c**self.p * g for d, g in lp1_grads.items()},
+            projection=m.distance_to_manifold(v),
+            numerator=self.numerator(h1, 1.0),
+        )
+
+    def _h1_grads(self, v: CylinderFunction) -> dict:
+        m = self.model
+        return {
+            d: 2.0 * m.h * (m.spectral_neg_laplacian(v.mode(d)) + m.params.tau(d) * v.mode(d))
+            for d in v.degrees
+        }
+
+    def _numerator_grads(self, h1_grads: dict, lp1_pow: float, lp1_grads: dict) -> dict:
+        # d/df of C^-1 (int |v|^{p+1})^{2/(p+1)} through the L^{p+1} gradient
+        p = self.p
+        factor = self.model.c_inv * 2.0 / (p + 1.0) * lp1_pow ** (2.0 / (p + 1.0) - 1.0)
+        return {d: g - factor * lp1_grads[d] for d, g in h1_grads.items()}
+
+    def gradient(self, it: _Iterate):
         """dQ/d(samples), mode-wise, analytic through the envelope property."""
         m = self.model
-        p = self.p
-        h1, lp1_pow, projection, numerator = self.pieces(v)
+        projection = it.projection
         dist_sq = projection.distance_sq
-        q = numerator / dist_sq
-
-        grad_h1 = {}
-        for d in v.degrees:
-            f = v.mode(d)
-            grad_h1[d] = 2.0 * m.h * (m.spectral_neg_laplacian(f) + m.params.tau(d) * f)
-
-        # d/df of int |v|^{p+1}: 2D chain rule through the harmonic samples
-        grad_lp1_pow = {}
-        if v.degrees == (0,):
-            f0 = v.mode(0)
-            base = m.area ** (1.0 - (p + 1.0) / 2.0) * m.h
-            grad_lp1_pow[0] = base * (p + 1.0) * np.abs(f0) ** (p - 1.0) * f0
-        else:
-            samples = m._sample(v)
-            core = np.abs(samples) ** (p - 1.0) * samples
-            for d in v.degrees:
-                y = m.harmonic_values(d)
-                grad_lp1_pow[d] = (
-                    m.angle_prefactor * m.h * (p + 1.0) * (core * (m.angle_w * y)).sum(axis=1)
-                )
-
-        lp1_sq_factor = 2.0 / (p + 1.0) * lp1_pow ** (2.0 / (p + 1.0) - 1.0)
+        q = it.value
+        h1_grads = self._h1_grads(it.v)
+        num_grads = self._numerator_grads(h1_grads, 1.0, it.lp1_grads)
         # overlap gradient at the optimal shift; the shift's own derivative
         # drops out by the envelope property
-        psi_pow_shift = psi(m.params, m.t - projection.shift) ** p
+        psi_pow_shift = psi(m.params, m.t - projection.shift) ** self.p
         grad_overlap0 = m.sqrt_area * m.h * psi_pow_shift
 
         grads = {}
-        for d in v.degrees:
-            g_num = grad_h1[d] - m.c_inv * lp1_sq_factor * grad_lp1_pow[d]
-            g_dist = grad_h1[d].copy()
+        for d, g_num in num_grads.items():
+            g_dist = h1_grads[d]
             if d == 0:
                 g_dist = g_dist - 2.0 * m.kappa * projection.overlap * grad_overlap0
             grads[d] = (g_num - q * g_dist) / dist_sq
-        return grads, q, projection
+        return grads
 
     def numerator_gradient(self, v: CylinderFunction):
         """Gradient of the numerator alone (used by the correctness checks)."""
-        m = self.model
-        p = self.p
-        grads = {}
-        lp1_pow = m.lp1_pow(v)
-        lp1_sq_factor = 2.0 / (p + 1.0) * lp1_pow ** (2.0 / (p + 1.0) - 1.0)
-        if v.degrees == (0,):
-            f0 = v.mode(0)
-            base = m.area ** (1.0 - (p + 1.0) / 2.0) * m.h
-            grad_lp1 = {0: base * (p + 1.0) * np.abs(f0) ** (p - 1.0) * f0}
-        else:
-            samples = m._sample(v)
-            core = np.abs(samples) ** (p - 1.0) * samples
-            grad_lp1 = {
-                d: m.angle_prefactor
-                * m.h
-                * (p + 1.0)
-                * (core * (m.angle_w * m.harmonic_values(d))).sum(axis=1)
-                for d in v.degrees
-            }
-        for d in v.degrees:
-            f = v.mode(d)
-            grads[d] = (
-                2.0 * m.h * (m.spectral_neg_laplacian(f) + m.params.tau(d) * f)
-                - m.c_inv * lp1_sq_factor * grad_lp1[d]
-            )
-        return grads
+        lp1_pow, lp1_grads = self.model.lp1_pow(v, with_gradient=True)
+        return self._numerator_grads(self._h1_grads(v), lp1_pow, lp1_grads)
 
 
 def _build_start(model: CylinderModel, config: MinimizeConfig) -> tuple[CylinderFunction, str]:
@@ -210,10 +220,6 @@ def _build_start(model: CylinderModel, config: MinimizeConfig) -> tuple[Cylinder
         )
         return combine([1.0, 1.0], [model.psi_function(), noise]), f"random seed={seed}"
     raise ValueError(f"unknown start recipe {kind!r}")
-
-
-def _normalize(model: CylinderModel, v: CylinderFunction) -> CylinderFunction:
-    return scale(v, 1.0 / model.lp1_norm(v))
 
 
 def quotient(v: CylinderFunction, grid: GridSpec | None = None) -> QuotientReport:
@@ -255,15 +261,17 @@ def minimize_quotient(
         v, label = start_function, "explicit"
     else:
         v, label = _build_start(model, config)
-    v = _normalize(model, v)
-    best_q, projection = objective.value(v)
+    it = objective.normalized(v)
+    _require_off_manifold(it.h1, it.projection)
+    best_q = it.value
     trace = [(0, best_q)]
-    best_report = (best_q, projection)
+    best_report = (best_q, it.projection)
     step = config.initial_step
     grad_norm = math.nan
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        grads, q, projection = objective.gradient(v)
+        grads = objective.gradient(it)
+        q = it.value
         grad_norm = math.sqrt(
             sum(model.h * float(np.dot(g, g)) for g in grads.values())
         )
@@ -273,14 +281,11 @@ def minimize_quotient(
         accepted = False
         alpha = step
         for _ in range(30):
-            candidate = _normalize(model, combine([1.0, alpha], [v, direction]))
-            h1_cand = model.h1_inner(candidate, candidate)
-            cand_proj = model.distance_to_manifold(candidate)
-            if cand_proj.distance_sq < config.projection_tol * h1_cand:
+            candidate = objective.normalized(combine([1.0, alpha], [it.v, direction]))
+            if candidate.projection.distance_sq < config.projection_tol * candidate.h1:
                 alpha *= 0.5  # re-project away from the manifold
                 continue
-            lp1_cand = model.lp1_pow(candidate) ** (2.0 / (params.p + 1.0))
-            q_cand = (h1_cand - model.c_inv * lp1_cand) / cand_proj.distance_sq
+            q_cand = candidate.value
             if q_cand <= q - 1e-12 * abs(q):
                 accepted = True
                 break
@@ -289,12 +294,13 @@ def minimize_quotient(
             if iteration == 1:
                 raise NoDescent("line search failed at the first iterate")
             break
-        v = candidate
+        # the accepted candidate carries its pieces into the next gradient
+        it = candidate
         step = min(config.initial_step, 2.0 * alpha)
         iterations = iteration
         trace.append((iteration, q_cand))
         if q_cand < best_report[0]:
-            best_report = (q_cand, cand_proj)
+            best_report = (q_cand, candidate.projection)
     value, projection = best_report
     return QuotientReport(
         value=value,

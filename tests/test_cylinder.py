@@ -49,12 +49,14 @@ def test_distance_of_bubble_is_zero(params_case2):
 
 def test_distance_of_scaled_shifted_bubble(params_case2):
     model = model_for(params_case2)
-    v = model.psi_function(shift=2.0, scalar=3.0)
-    projection = model.distance_to_manifold(v)
-    assert projection.distance_sq < 1e-8 * model.h1_inner(v, v)
-    assert projection.shift == pytest.approx(2.0, abs=1e-6)
-    assert projection.scalar == pytest.approx(3.0, rel=1e-9)
-    assert not projection.edge_attained
+    # off-grid shifts: the refinement, not the grid scan, has to resolve them
+    for s0 in (2.0, 2.0 + 0.37 * model.h, -1.3 + 0.81 * model.h):
+        v = model.psi_function(shift=s0, scalar=3.0)
+        projection = model.distance_to_manifold(v)
+        assert projection.distance_sq < 1e-8 * model.h1_inner(v, v)
+        assert abs(projection.shift - s0) <= 1e-10
+        assert projection.scalar == pytest.approx(3.0, rel=1e-9)
+        assert not projection.edge_attained
 
 
 def test_distance_of_gap_perturbation(params_case2):

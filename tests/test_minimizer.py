@@ -11,6 +11,7 @@ from cknlab.minimizer import (
     minimize_quotient,
     quotient,
 )
+from cknlab.params import make_params
 from cknlab.spectrum import spectral_gap
 
 
@@ -163,3 +164,19 @@ def test_estimate_cbe_deterministic(params_case2):
     assert first.trace == second.trace
     assert first.value == second.value
     assert first.start == second.start
+
+
+# best quotients at the acceptance minimizer points (starts=1, seed=7) from the
+# golden-section shift search that the Newton refinement replaced; that search
+# resolved the shift only to 6e-9..6e-8, and the two agree to under 1e-9 relative
+@pytest.mark.parametrize(
+    "point, value",
+    [
+        ((4, 0.5, 0.6), 0.4566802970259557),
+        ((4, 0.0, 0.5), 0.31658942577884347),
+        ((4, 0.0, 0.3), 0.3706591520548443),
+    ],
+)
+def test_estimate_cbe_matches_reference_values(point, value):
+    report = estimate_cbe(make_params(*point), starts=1, seed=7)
+    assert report.value == pytest.approx(value, rel=1e-8)
