@@ -3,6 +3,9 @@
 Every subcommand prints one JSON document to stdout; sweeps emit CSV rows (or
 a JSON array) with a fixed, documented column order.  Exit codes: 0 success,
 2 invalid parameters (the violated condition is named), 3 numerical failure.
+A sweep writes every row even when some fail: a failed task leaves its cells
+empty, each failed row is reported as one JSON line on stderr, and the exit
+code is then 3.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import energy, minimizer, spectrum
+from .cylinder import SearchFailure
 from .eig_oracle import ConvergenceFailure
 from .params import (
     CknParams,
@@ -45,6 +49,17 @@ SWEEP_COLUMNS = {
     "zhat": ["zhat", "zhat_variational", "q_star"],
     "minimize": ["q_best", "q_iterations", "q_start"],
 }
+
+# failures of a computation at a valid parameter point: exit code 3, and an
+# empty task in a sweep row
+NUMERICAL_ERRORS = (
+    minimizer.NumericalFailure,
+    minimizer.NoDescent,
+    minimizer.OnManifold,
+    ConvergenceFailure,
+    SearchFailure,
+    ArithmeticError,
+)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -178,7 +193,67 @@ def _cmd_minimize(args) -> dict:
     return doc
 
 
+def _region_cells(params: CknParams, seed: int) -> dict:
+    report = classify(params)
+    return {"b_fs": report.b_fs, "b_fs_star": report.b_fs_star, "a_c_star": report.a_c_star}
+
+
+def _spectrum_cells(params: CknParams, seed: int) -> dict:
+    return {
+        key: spectrum.eigenvalue_closed(params, i, j).lam
+        for key, (i, j) in {
+            "lambda_00": (0, 0),
+            "lambda_01": (0, 1),
+            "lambda_02": (0, 2),
+            "lambda_10": (1, 0),
+            "lambda_11": (1, 1),
+        }.items()
+    }
+
+
+def _gap_cells(params: CknParams, seed: int) -> dict:
+    gap = spectrum.spectral_gap(params)
+    return {
+        "lambda_star": gap.lambda_star,
+        "gap_winner": f"{gap.winner[0]}{gap.winner[1]}",
+        "lambda_star_variant": gap.lambda_star_variant,
+    }
+
+
+def _bounds_cells(params: CknParams, seed: int) -> dict:
+    bounds = energy.bounds_report(params)
+    return {
+        "bound_two_bubble": bounds.bound_two_bubble,
+        "bound_two_bubble_variant": bounds.bound_two_bubble_variant,
+        "bound_gap": bounds.bound_gap,
+        "effective_bound": bounds.effective_bound,
+    }
+
+
+def _zhat_cells(params: CknParams, seed: int) -> dict:
+    z = energy.zhat(params)
+    return {"zhat": z.value, "zhat_variational": z.value_variational, "q_star": z.q_star}
+
+
+def _minimize_cells(params: CknParams, seed: int) -> dict:
+    report = minimizer.estimate_cbe(params, starts=1, seed=seed)
+    return {"q_best": report.value, "q_iterations": report.iterations, "q_start": report.start}
+
+
+# one row function per sweep task, in the order of SWEEP_COLUMNS
+_SWEEP_TASKS = {
+    "region": _region_cells,
+    "spectrum": _spectrum_cells,
+    "gap": _gap_cells,
+    "bounds": _bounds_cells,
+    "zhat": _zhat_cells,
+    "minimize": _minimize_cells,
+}
+
+
 def _sweep_point_row(task_args) -> dict:
+    """One sweep row; a task that fails numerically leaves its cells empty and
+    is named in the row's ``error`` entry."""
     n_dim, a, b, tasks, seed = task_args
     row: dict[str, Any] = {"N": n_dim, "a": a, "b": b}
     try:
@@ -189,42 +264,17 @@ def _sweep_point_row(task_args) -> dict:
     except InvalidParameters:
         row["region"] = "Invalid"
         return row
-    report = classify(params)
-    row["region"] = report.region.value
-    if "region" in tasks:
-        row["b_fs"] = report.b_fs
-        row["b_fs_star"] = report.b_fs_star
-        row["a_c_star"] = report.a_c_star
-    if "spectrum" in tasks:
-        for key, (i, j) in {
-            "lambda_00": (0, 0),
-            "lambda_01": (0, 1),
-            "lambda_02": (0, 2),
-            "lambda_10": (1, 0),
-            "lambda_11": (1, 1),
-        }.items():
-            row[key] = spectrum.eigenvalue_closed(params, i, j).lam
-    if "gap" in tasks:
-        gap = spectrum.spectral_gap(params)
-        row["lambda_star"] = gap.lambda_star
-        row["gap_winner"] = f"{gap.winner[0]}{gap.winner[1]}"
-        row["lambda_star_variant"] = gap.lambda_star_variant
-    if "bounds" in tasks:
-        bounds = energy.bounds_report(params)
-        row["bound_two_bubble"] = bounds.bound_two_bubble
-        row["bound_two_bubble_variant"] = bounds.bound_two_bubble_variant
-        row["bound_gap"] = bounds.bound_gap
-        row["effective_bound"] = bounds.effective_bound
-    if "zhat" in tasks:
-        z = energy.zhat(params)
-        row["zhat"] = z.value
-        row["zhat_variational"] = z.value_variational
-        row["q_star"] = z.q_star
-    if "minimize" in tasks:
-        report_min = minimizer.estimate_cbe(params, starts=1, seed=seed)
-        row["q_best"] = report_min.value
-        row["q_iterations"] = report_min.iterations
-        row["q_start"] = report_min.start
+    row["region"] = classify(params).region.value
+    errors = []
+    for task, cells in _SWEEP_TASKS.items():
+        if task not in tasks:
+            continue
+        try:
+            row.update(cells(params, seed))
+        except NUMERICAL_ERRORS as exc:
+            errors.append(f"{task}: {type(exc).__name__}")
+    if errors:
+        row["error"] = "; ".join(errors)
     return row
 
 
@@ -308,21 +358,24 @@ def _cmd_sweep(args) -> int:
                 fh.write(payload + "\n")
         else:
             print(payload)
-        return 0
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in columns])
-    text = buffer.getvalue()
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(json.dumps({"command": "sweep", "rows": len(rows), "output": output_path}))
     else:
-        sys.stdout.write(text)
-    return 0
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row.get(col)) for col in columns])
+        text = buffer.getvalue()
+        if output_path:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(json.dumps({"command": "sweep", "rows": len(rows), "output": output_path}))
+        else:
+            sys.stdout.write(text)
+
+    failed = [row for row in rows if "error" in row]
+    for row in failed:
+        sys.stderr.write(json.dumps({key: row[key] for key in ("N", "a", "b", "error")}) + "\n")
+    return 3 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -380,12 +433,7 @@ def run_command(argv=None) -> int:
     except ParameterError as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return 2
-    except (
-        minimizer.NumericalFailure,
-        minimizer.NoDescent,
-        minimizer.OnManifold,
-        ConvergenceFailure,
-    ) as exc:
+    except NUMERICAL_ERRORS as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return 3
 

@@ -49,6 +49,8 @@ __all__ = [
     "scale",
 ]
 
+# Gauss-Jacobi nodes in the polar angle
+ANGLE_NODES = 64
 # Newton refinement of the maximizing shift: step tolerance and iteration cap
 SHIFT_TOL = 1e-12
 SHIFT_ITERATIONS = 100
@@ -143,11 +145,11 @@ class ManifoldProjection:
 
 
 @lru_cache(maxsize=32)
-def _angle_rule(n_dim: int, n_nodes: int):
+def _angle_rule(n_dim: int):
     # integral over S^(N-1) of a zonal function g(cos phi):
     # |S^(N-2)| * sum w_m g(x_m) with weight (1-x^2)^((N-3)/2)
     alpha = (n_dim - 3) / 2.0
-    x, w = roots_jacobi(n_nodes, alpha, alpha)
+    x, w = roots_jacobi(ANGLE_NODES, alpha, alpha)
     prefactor = sphere_area(n_dim - 1) if n_dim >= 3 else 2.0
     return x, w, prefactor
 
@@ -155,15 +157,14 @@ def _angle_rule(n_dim: int, n_nodes: int):
 class CylinderModel:
     """Grid, quadrature rules, and calibrated constants for one parameter point."""
 
-    def __init__(self, params: CknParams, grid: GridSpec | None = None, angle_nodes: int = 64):
+    def __init__(self, params: CknParams):
         self.params = params
-        self.grid = grid if grid is not None else default_grid(params)
-        self.angle_nodes = angle_nodes
+        self.grid = default_grid(params)
         self.t = self.grid.t()
         self.h = self.grid.spacing
         self.area = sphere_area(params.N)
         self.sqrt_area = math.sqrt(self.area)
-        self.angle_x, self.angle_w, self.angle_prefactor = _angle_rule(params.N, angle_nodes)
+        self.angle_x, self.angle_w, self.angle_prefactor = _angle_rule(params.N)
         self._harmonics: dict[int, np.ndarray] = {}
 
         # spectral differentiation wavenumbers (Nyquist zeroed keeps D real
@@ -246,14 +247,12 @@ class CylinderModel:
         values = self.psi_values + psi(self.params, self.t - s)
         return self.function({0: self.sqrt_area * values})
 
-    def random_mperp(
-        self, seed: int, amplitude: float = 1.0, degrees: tuple[int, ...] = (0, 1)
-    ) -> CylinderFunction:
-        """Smooth random function in the orthogonal complement of the soft modes."""
+    def random_mperp(self, seed: int, amplitude: float = 1.0) -> CylinderFunction:
+        """Smooth random function of degrees 0 and 1, orthogonal to the soft modes."""
         rng = np.random.default_rng(seed)
         envelope = np.exp(-((self.t / (self.grid.half_width / 3.0)) ** 2))
         modes = {}
-        for degree in degrees:
+        for degree in (0, 1):
             coeffs = rng.standard_normal(8)
             waves = np.stack(
                 [np.cos((k + 1) * math.pi * self.t / self.grid.half_width) for k in range(8)]
@@ -275,14 +274,6 @@ class CylinderModel:
             tau = self.params.tau(d)
             total += self.h * float(np.dot(u.deriv(d), v.deriv(d)))
             total += tau * self.h * float(np.dot(u.mode(d), v.mode(d)))
-        return total
-
-    def l2_inner(self, u: CylinderFunction, v: CylinderFunction) -> float:
-        self._check(u)
-        self._check(v)
-        total = 0.0
-        for d in sorted(set(u.degrees) | set(v.degrees)):
-            total += self.h * float(np.dot(u.mode(d), v.mode(d)))
         return total
 
     def lp1_pow(self, v: CylinderFunction, with_gradient: bool = False):
@@ -318,6 +309,17 @@ class CylinderModel:
 
     def lp1_norm(self, v: CylinderFunction) -> float:
         return self.lp1_pow(v) ** (1.0 / (self.params.p + 1.0))
+
+    def quotient_parts(
+        self, v: CylinderFunction, lp1_pow: float | None = None
+    ) -> tuple[float, float, ManifoldProjection]:
+        """|v|_H1^2, the quotient numerator |v|_H1^2 - C^-1 |v|_{p+1}^2, and the
+        manifold projection; ``lp1_pow`` is int |v|^(p+1) when already known."""
+        h1 = self.h1_inner(v, v)
+        if lp1_pow is None:
+            lp1_pow = self.lp1_pow(v)
+        numerator = h1 - self.c_inv * lp1_pow ** (2.0 / (self.params.p + 1.0))
+        return h1, numerator, self.distance_to_manifold(v)
 
     # ------------------------------------------------------------------
     # manifold machinery
@@ -413,6 +415,6 @@ class CylinderModel:
 
 
 @lru_cache(maxsize=8)
-def model_for(params: CknParams, grid: GridSpec | None = None, angle_nodes: int = 64) -> CylinderModel:
-    """Shared model cache keyed by parameter point and grid."""
-    return CylinderModel(params, grid, angle_nodes)
+def model_for(params: CknParams) -> CylinderModel:
+    """Shared model cache keyed by parameter point."""
+    return CylinderModel(params)

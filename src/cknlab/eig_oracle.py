@@ -73,20 +73,20 @@ class GridSpec:
         return np.linspace(-self.half_width, self.half_width, self.nodes)
 
 
-def default_grid(params: CknParams, nodes: int = 4096) -> GridSpec:
-    """Grid wide enough for both the sech^2 well and the bubble tails.
+def default_grid(params: CknParams) -> GridSpec:
+    """4096-node grid wide enough for both the sech^2 well and the bubble tails.
 
     The bubble decays like e^(-(a_c-a)|t|), so the width scales with whichever
     of 60/gamma and 30/(a_c-a) is larger.
     """
     half = max(60.0 / params.gamma, 30.0 / params.ac_minus_a)
-    return GridSpec(half_width=half, nodes=nodes)
+    return GridSpec(half_width=half, nodes=4096)
 
 
-def solver_grid(params: CknParams, nodes: int = 8000) -> GridSpec:
-    """Default grid for eigenvalue solves (tail of sech^2 below 1e-25)."""
+def solver_grid(params: CknParams) -> GridSpec:
+    """8000-node grid for eigenvalue solves (tail of sech^2 below 1e-25)."""
     half = max(40.0 / params.gamma, 30.0 / params.ac_minus_a)
-    return GridSpec(half_width=half, nodes=nodes)
+    return GridSpec(half_width=half, nodes=8000)
 
 
 @njit(cache=True)
@@ -150,23 +150,22 @@ def generalized_eigenvalues(
     i: int,
     count: int,
     grid: GridSpec | None = None,
-    extrapolate: bool = True,
 ) -> list[float]:
     """The ``count`` smallest eigenvalues of the mode-i discretized problem.
 
-    With ``extrapolate`` (the default) the second-difference bias is removed
-    by Richardson extrapolation across grids of N, N/2, and N/4 nodes, which
-    cancels the h^2 and h^4 error terms.  Falls back to single-level (h^2
-    only) or raw values when the grid is too coarse to split.
+    The second-difference bias is removed by Richardson extrapolation across
+    grids of N, N/2, and N/4 nodes, which cancels the h^2 and h^4 error terms.
+    Falls back to single-level (h^2 only) or raw values when the grid is too
+    coarse to split.
     """
     if count > 6:
         raise ValueError("at most 6 eigenvalues per mode are supported")
     if grid is None:
         grid = solver_grid(params)
     grids = [grid]
-    if extrapolate and grid.nodes >= 4000:
+    if grid.nodes >= 4000:
         grids.append(GridSpec(grid.half_width, grid.nodes // 2))
-    if extrapolate and grid.nodes >= 8000:
+    if grid.nodes >= 8000:
         grids.append(GridSpec(grid.half_width, grid.nodes // 4))
     solves = [_bisect_eigenvalues(params, i, count, g) for g in grids]
     if len(grids) == 1:
@@ -220,11 +219,10 @@ class GapCheckReport:
     mode1_value: float
     winner_mode: int
     minimizer: np.ndarray
-    minimizer_mode: int
     grid: GridSpec
 
 
-def rayleigh_gap_check(params: CknParams, grid: GridSpec | None = None) -> GapCheckReport:
+def rayleigh_gap_check(params: CknParams) -> GapCheckReport:
     """Minimize the discretized gap quotient over the complement of the
     bubble and its translation mode.
 
@@ -233,8 +231,7 @@ def rayleigh_gap_check(params: CknParams, grid: GridSpec | None = None) -> GapCh
     to the sampled bubble and its derivative, and over unconstrained mode-1
     functions; the smaller of the two is the discrete gap constant.
     """
-    if grid is None:
-        grid = solver_grid(params)
+    grid = solver_grid(params)
     t = grid.t()[1:-1]
     h = grid.spacing
 
@@ -290,6 +287,5 @@ def rayleigh_gap_check(params: CknParams, grid: GridSpec | None = None) -> GapCh
         mode1_value=mode1_value,
         winner_mode=mmode,
         minimizer=pad,
-        minimizer_mode=mmode,
         grid=grid,
     )

@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cylinder import CylinderModel, combine, model_for
-from .eig_oracle import GridSpec
+from .cylinder import combine, model_for
 from .extremals import profile, psi_norms
 from .params import CknParams, RegionClass, classify, curve_constants
 from .specfun import beta, integrate_line, log_cosh, sphere_moments
@@ -170,28 +169,20 @@ class TwoBubbleReport:
     dist_ratio: float
 
 
-def _quotient_parts(model: CylinderModel, v) -> tuple[float, float, float]:
-    h1 = model.h1_inner(v, v)
-    numerator = h1 - model.c_inv * model.lp1_pow(v) ** (2.0 / (model.params.p + 1.0))
-    projection = model.distance_to_manifold(v)
-    return numerator, projection.distance_sq, projection.shift
-
-
-def two_bubble_quotient(
-    params: CknParams, s: float, grid: GridSpec | None = None
-) -> TwoBubbleReport:
+def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     """Q(Psi + Psi_s) together with the predicted exponential deficit.
 
     ``predicted_deficit_rate`` is the rate constant implied by the norm and
     distance expansions, 2 (2^(2/(p+1)) - 1) A0 / |Psi|_H1^2; the published
     display variant 2 A0 C^(2/(p-1)) is reported alongside for comparison.
     """
-    model = model_for(params, grid)
+    model = model_for(params)
     if not s < model.grid.half_width / 2.0:
         raise ValueError("two-bubble separation exceeds the search window")
     p = params.p
     v = model.two_bubble(s)
-    numerator, dist_sq, shift = _quotient_parts(model, v)
+    _, numerator, projection = model.quotient_parts(v)
+    dist_sq = projection.distance_sq
     value = numerator / dist_sq
     bounds = bounds_report(params)
     a0 = a0_coefficient(params)
@@ -205,7 +196,7 @@ def two_bubble_quotient(
         s=s,
         value=value,
         distance_sq=dist_sq,
-        shift=shift,
+        shift=projection.shift,
         numerator=numerator,
         bounds=bounds,
         a0=a0,
@@ -232,9 +223,7 @@ class GapPerturbationReport:
     predicted_value: float
 
 
-def gap_perturbation_quotient(
-    params: CknParams, eps: float, grid: GridSpec | None = None
-) -> GapPerturbationReport:
+def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationReport:
     """Q(Psi + eps rho_02) and the expansion limit - slope * eps.
 
     The epsilon -> 0 limit is the radial gap value (lambda_02 - 1)/lambda_02,
@@ -243,10 +232,11 @@ def gap_perturbation_quotient(
     """
     if not 0.0 < eps <= 0.2:
         raise ValueError("eps must lie in (0, 0.2]")
-    model = model_for(params, grid)
+    model = model_for(params)
     p = params.p
     v = combine([1.0, eps], [model.psi_function(), model.rho02_function()])
-    numerator, dist_sq, _ = _quotient_parts(model, v)
+    _, numerator, projection = model.quotient_parts(v)
+    dist_sq = projection.distance_sq
     value = numerator / dist_sq
     lam02 = eigenvalue_closed(params, 0, 2).lam
     limit = (lam02 - 1.0) / lam02

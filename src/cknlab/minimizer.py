@@ -28,7 +28,6 @@ from .cylinder import (
     model_for,
     scale,
 )
-from .eig_oracle import GridSpec
 from .energy import BoundsReport, bounds_report
 from .extremals import psi
 from .params import CknParams, RegionClass, classify
@@ -46,6 +45,11 @@ __all__ = [
 
 MANIFOLD_GUARD = 1e-8
 ON_MANIFOLD_TOL = 1e-10
+# descent recipe: first trial step, relative gradient tolerance, and the H1
+# size of a random start's perturbation relative to the bubble's
+INITIAL_STEP = 0.5
+GRADIENT_TOL = 1e-6
+RANDOM_AMPLITUDE = 0.05
 
 
 class OnManifold(RuntimeError):
@@ -62,24 +66,17 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Start recipe and descent controls.
+    """Start recipe and iteration cap.
 
     ``start`` is one of ("gap", eps), ("two_bubble", s), ("random", seed).
     """
 
     start: tuple = ("gap", 0.05)
-    modes: tuple[int, ...] = (0, 1)
-    initial_step: float = 0.5
     max_iterations: int = 80
-    gradient_tol: float = 1e-6
-    projection_tol: float = MANIFOLD_GUARD
-    random_amplitude: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.gradient_tol <= 0.0 or self.projection_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.start[0] == "gap" and not 0.0 < self.start[1] <= 0.2:
             raise ValueError("gap-perturbation eps must lie in (0, 0.2]")
 
@@ -128,14 +125,8 @@ class _Objective:
         self.model = model
         self.p = model.params.p
 
-    def numerator(self, h1: float, lp1_pow: float) -> float:
-        return h1 - self.model.c_inv * lp1_pow ** (2.0 / (self.p + 1.0))
-
     def value(self, v: CylinderFunction):
-        m = self.model
-        h1 = m.h1_inner(v, v)
-        numerator = self.numerator(h1, m.lp1_pow(v))
-        projection = m.distance_to_manifold(v)
+        h1, numerator, projection = self.model.quotient_parts(v)
         _require_off_manifold(h1, projection)
         return numerator / projection.distance_sq, projection
 
@@ -145,14 +136,14 @@ class _Objective:
         lp1_pow, lp1_grads = m.lp1_pow(v, with_gradient=True)
         c = 1.0 / lp1_pow ** (1.0 / (self.p + 1.0))
         v = scale(v, c)
-        h1 = m.h1_inner(v, v)
         # int |c v|^{p+1} = 1 by homogeneity, and its gradient scales by c^p
+        h1, numerator, projection = m.quotient_parts(v, 1.0)
         return _Iterate(
             v=v,
             h1=h1,
             lp1_grads={d: c**self.p * g for d, g in lp1_grads.items()},
-            projection=m.distance_to_manifold(v),
-            numerator=self.numerator(h1, 1.0),
+            projection=projection,
+            numerator=numerator,
         )
 
     def _h1_grads(self, v: CylinderFunction) -> dict:
@@ -215,20 +206,18 @@ def _build_start(model: CylinderModel, config: MinimizeConfig) -> tuple[Cylinder
         return model.two_bubble(s), f"two-bubble s={s:.4g}"
     if kind == "random":
         seed = int(config.start[1])
-        noise = model.random_mperp(
-            seed, config.random_amplitude * math.sqrt(model.energy_psi), config.modes
-        )
+        noise = model.random_mperp(seed, RANDOM_AMPLITUDE * math.sqrt(model.energy_psi))
         return combine([1.0, 1.0], [model.psi_function(), noise]), f"random seed={seed}"
     raise ValueError(f"unknown start recipe {kind!r}")
 
 
-def quotient(v: CylinderFunction, grid: GridSpec | None = None) -> QuotientReport:
+def quotient(v: CylinderFunction) -> QuotientReport:
     """Evaluate the quotient at one function.
 
     Raises OnManifold when the distance is numerically zero relative to the
     function's energy.
     """
-    model = model_for(v.params, grid if grid is not None else v.grid)
+    model = model_for(v.params)
     objective = _Objective(model)
     value, projection = objective.value(v)
     return QuotientReport(
@@ -245,7 +234,6 @@ def quotient(v: CylinderFunction, grid: GridSpec | None = None) -> QuotientRepor
 def minimize_quotient(
     config: MinimizeConfig,
     params: CknParams,
-    grid: GridSpec | None = None,
     start_function: CylinderFunction | None = None,
 ) -> QuotientReport:
     """Backtracking gradient descent on Q with the L^{p+1} normalization.
@@ -255,7 +243,7 @@ def minimize_quotient(
     cap and returns the best quotient seen.  ``start_function`` overrides the
     configured start recipe with an explicit iterate.
     """
-    model = model_for(params, grid)
+    model = model_for(params)
     objective = _Objective(model)
     if start_function is not None:
         v, label = start_function, "explicit"
@@ -266,7 +254,7 @@ def minimize_quotient(
     best_q = it.value
     trace = [(0, best_q)]
     best_report = (best_q, it.projection)
-    step = config.initial_step
+    step = INITIAL_STEP
     grad_norm = math.nan
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
@@ -275,14 +263,14 @@ def minimize_quotient(
         grad_norm = math.sqrt(
             sum(model.h * float(np.dot(g, g)) for g in grads.values())
         )
-        if grad_norm <= config.gradient_tol * max(1.0, abs(q)):
+        if grad_norm <= GRADIENT_TOL * max(1.0, abs(q)):
             break
         direction = model.function({d: -g for d, g in grads.items()})
         accepted = False
         alpha = step
         for _ in range(30):
             candidate = objective.normalized(combine([1.0, alpha], [it.v, direction]))
-            if candidate.projection.distance_sq < config.projection_tol * candidate.h1:
+            if candidate.projection.distance_sq < MANIFOLD_GUARD * candidate.h1:
                 alpha *= 0.5  # re-project away from the manifold
                 continue
             q_cand = candidate.value
@@ -296,7 +284,7 @@ def minimize_quotient(
             break
         # the accepted candidate carries its pieces into the next gradient
         it = candidate
-        step = min(config.initial_step, 2.0 * alpha)
+        step = min(INITIAL_STEP, 2.0 * alpha)
         iterations = iteration
         trace.append((iteration, q_cand))
         if q_cand < best_report[0]:
@@ -318,7 +306,6 @@ def estimate_cbe(
     params: CknParams,
     starts: int = 2,
     seed: int = 0,
-    grid: GridSpec | None = None,
     max_iterations: int = 60,
 ) -> QuotientReport:
     """Multi-start quotient minimization; returns the best report.
@@ -341,7 +328,7 @@ def estimate_cbe(
     for recipe in recipes:
         config = MinimizeConfig(start=recipe, max_iterations=max_iterations)
         try:
-            report = minimize_quotient(config, params, grid)
+            report = minimize_quotient(config, params)
         except (NoDescent, OnManifold):
             continue
         if best is None or report.value < best.value:

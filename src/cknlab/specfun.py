@@ -19,7 +19,6 @@ import numpy as np
 from scipy import integrate
 
 __all__ = [
-    "QuadratureSpec",
     "beta",
     "beta_reduction",
     "cosh_power_integral",
@@ -34,37 +33,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for adaptive quadrature of exponentially decaying integrands.
-
-    ``half_width == 0`` means the truncation is derived from the decay rate so
-    that the discarded tail is below 1e-16 of the peak scale.
-    """
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-12
-    half_width: float = 0.0
-    node_budget: int = 400
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.half_width < 0.0:
-            raise ValueError("half_width must be positive, or 0 for automatic")
-        if self.node_budget < 16:
-            raise ValueError("node budget must be at least 16")
-
-    def resolve_half_width(self, decay_rate: float) -> float:
-        if self.half_width > 0.0:
-            return self.half_width
-        if decay_rate <= 0.0:
-            raise ValueError("decay rate must be positive to choose a truncation")
-        return (40.0 + max(0.0, -math.log(decay_rate))) / decay_rate
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# integrate_line: quad tolerances and subinterval budget
+QUAD_ABS_TOL = 1e-13
+QUAD_REL_TOL = 1e-12
+QUAD_LIMIT = 400
 
 
 def gamma(x: float) -> float:
@@ -184,23 +156,17 @@ def log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
 
 
-def integrate_line(
-    f: Callable[[float], float],
-    decay_rate: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def integrate_line(f: Callable[[float], float], decay_rate: float) -> float:
     """Adaptive quadrature of ``f`` over the real line.
 
     ``decay_rate`` is a lower bound on the exponential decay rate of ``f``;
-    it fixes the truncation half-width unless the spec pins one explicitly.
+    it fixes the truncation half-width so that the discarded tail is below
+    1e-16 of the peak scale.
     """
-    half = spec.resolve_half_width(decay_rate)
+    if decay_rate <= 0.0:
+        raise ValueError("decay rate must be positive to choose a truncation")
+    half = (40.0 + max(0.0, -math.log(decay_rate))) / decay_rate
     value, _ = integrate.quad(
-        f,
-        -half,
-        half,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.node_budget,
+        f, -half, half, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT
     )
     return value

@@ -42,7 +42,6 @@ __all__ = [
     "rho_02_prime",
     "rho_10",
     "rho_10_profile",
-    "rho_10_profile_prime",
     "spectral_gap",
 ]
 
@@ -236,16 +235,14 @@ def rho_10_profile(params: CknParams, t):
     return np.exp(-k * log_cosh(params.gamma * np.asarray(t, dtype=float)))
 
 
-def rho_10_profile_prime(params: CknParams, t):
-    k = math.sqrt(params.tau(1)) / params.gamma
-    t = np.asarray(t, dtype=float)
-    return -math.sqrt(params.tau(1)) * np.tanh(params.gamma * t) * rho_10_profile(params, t)
-
-
 def rho_10(params: CknParams, t, polar_angle):
     """Degree-one eigenfunction rho_{1,0,N}(t, theta) with the zonal
     coordinate harmonic theta_N = cos(polar angle)."""
     return rho_10_profile(params, t) * np.cos(np.asarray(polar_angle, dtype=float))
+
+
+# largest normalized H1 product that orthogonality_check accepts
+ORTHOGONALITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -264,7 +261,7 @@ class OrthogonalityReport:
     passed: bool
 
 
-def orthogonality_check(params: CknParams, tolerance: float = 1e-8) -> OrthogonalityReport:
+def orthogonality_check(params: CknParams) -> OrthogonalityReport:
     tau0 = params.tau(0)
     decay = 2.0 * params.ac_minus_a
 
@@ -295,6 +292,6 @@ def orthogonality_check(params: CknParams, tolerance: float = 1e-8) -> Orthogona
         rho02_vs_psi=r1,
         rho02_vs_psi_prime=r2,
         rho10_vs_mode_zero=0.0,
-        tolerance=tolerance,
-        passed=bool(r1 < tolerance and r2 < tolerance),
+        tolerance=ORTHOGONALITY_TOL,
+        passed=bool(r1 < ORTHOGONALITY_TOL and r2 < ORTHOGONALITY_TOL),
     )

@@ -191,3 +191,76 @@ def test_sweep_offsets_mode(tmp_path):
         by_a.setdefault(row["a"], []).append(row["lambda_star"])
     for values in by_a.values():
         assert values[0] > values[1]  # gap constant shrinks toward the curve
+
+
+@pytest.mark.parametrize("command", ["zhat", "energy", "minimize"])
+def test_numerical_failure_exit_code(command):
+    # near p -> 1 the closed forms overflow or divide by zero
+    code, out = run_cli([command, "4", "0.2", "1.1995"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["kind"] in ("OverflowError", "ZeroDivisionError")
+    assert doc["error"]
+
+
+def test_search_failure_exit_code(monkeypatch):
+    from cknlab import minimizer
+    from cknlab.cylinder import SearchFailure
+
+    def fail(*args, **kwargs):
+        raise SearchFailure("shift refinement did not converge")
+
+    monkeypatch.setattr(minimizer, "estimate_cbe", fail)
+    code, out = run_cli(["minimize", "4", "0", "0.5"])
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "shift refinement did not converge",
+        "kind": "SearchFailure",
+    }
+
+
+def test_sweep_keeps_rows_with_failed_tasks(tmp_path, monkeypatch, capsys):
+    config = {
+        "N": 4,
+        "a_range": {"min": 0.2, "max": 0.2, "steps": 1},
+        "b_rule": {"type": "absolute", "min": 1.198, "max": 1.1999, "steps": 20},
+        "tasks": ["region", "zhat"],
+        "format": "csv",
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CKNLAB_WORKERS", workers)
+        code, out = run_cli(["sweep", "--config", str(path)])
+        assert code == 3
+        outputs.append((out, capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+    out, err = outputs[0]
+
+    failures = [json.loads(line) for line in err.splitlines()]
+    kinds = {f["error"] for f in failures}
+    assert kinds == {"zhat: OverflowError", "zhat: ZeroDivisionError"}
+    failed_b = {f["b"] for f in failures}
+
+    rows = list(csv.reader(io.StringIO(out)))
+    header, data = rows[0], rows[1:]
+    assert header == [
+        "N", "a", "b", "region",
+        "region", "b_fs", "b_fs_star", "a_c_star",
+        "zhat", "zhat_variational", "q_star",
+    ]
+    assert len(data) == 20
+    assert 0 < len(failed_b) < 20
+    for r in data:
+        assert r[3] == "CaseII" and r[5] != ""
+        empty = [cell == "" for cell in r[8:]]
+        assert all(empty) if float(r[2]) in failed_b else not any(empty)
+
+    config["format"] = "json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(["sweep", "--config", str(path)])
+    assert code == 3
+    doc = json.loads(out)
+    assert {row["b"] for row in doc["rows"] if "error" in row} == failed_b
+    assert len(doc["rows"]) == 20

@@ -59,7 +59,7 @@ def test_inertia_brackets_closed_form(params_case2):
 
 def test_bracket_failure_is_reported(params_case2):
     with pytest.raises(ConvergenceFailure):
-        generalized_eigenvalues(params_case2, 60, 6, GridSpec(60.0, 2000), extrapolate=False)
+        generalized_eigenvalues(params_case2, 60, 6, GridSpec(60.0, 2000))
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -30,6 +30,13 @@ def test_quotient_scale_invariance(params_case2):
     assert quotient(doubled).value == pytest.approx(quotient(v).value, abs=1e-10)
 
 
+def test_quotient_reuses_the_cached_model(params_case2):
+    model_for.cache_clear()
+    model = model_for(params_case2)
+    quotient(combine([1.0, 0.01], [model.psi_function(), model.rho02_function()]))
+    assert model_for.cache_info().currsize == 1
+
+
 def test_quotient_undefined_on_manifold(params_case2):
     model = model_for(params_case2)
     with pytest.raises(OnManifold):

@@ -6,7 +6,6 @@ from scipy import integrate
 from scipy.special import eval_jacobi
 
 from cknlab.specfun import (
-    QuadratureSpec,
     beta,
     beta_reduction,
     cosh_power_integral,
@@ -193,13 +192,10 @@ def test_sphere_fourth_to_second_ratio_monte_carlo():
 
 
 def test_integrate_line_truncation():
-    spec = QuadratureSpec()
-    value = integrate_line(lambda t: math.exp(-abs(t)), 1.0, spec)
+    value = integrate_line(lambda t: math.exp(-abs(t)), 1.0)
     assert value == pytest.approx(2.0, rel=1e-12)
 
 
-def test_quadrature_spec_validation():
+def test_integrate_line_rejects_nonpositive_decay_rate():
     with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(node_budget=8)
+        integrate_line(lambda t: math.exp(-abs(t)), 0.0)
