@@ -126,7 +126,7 @@ def test_criterion_02_gap_constants():
 
 def test_criterion_03_oracle_agreement():
     rng = np.random.default_rng(103)
-    with criterion("3", 60.0, "Sturm-bisection eigenvalues vs closed forms, 20 points"):
+    with criterion("3", 60.0, "Lanczos eigenvalues vs closed forms, 20 points"):
         accepted = 0
         while accepted < 20:
             params = sample_valid_params(rng, p_cap=6.0)

@@ -6,6 +6,7 @@ from cknlab.eig_oracle import (
     GridSpec,
     generalized_eigenvalues,
     inertia_count,
+    mode_eigenpairs,
     rayleigh_gap_check,
     solver_grid,
 )
@@ -55,6 +56,43 @@ def test_inertia_brackets_closed_form(params_case2):
             below = inertia_count(params_case2, i, lam - 1e-4, grid)
             above = inertia_count(params_case2, i, lam + 1e-4, grid)
             assert above - below == 1
+
+
+# criterion 10's three points and one CaseII point with a < 0
+EIGENPAIR_POINTS = [(4, 0.5, 0.6), (4, 0.0, 0.5), (4, 0.0, 0.3), (3, -0.4, 0.2)]
+
+
+@pytest.mark.parametrize("point", EIGENPAIR_POINTS, ids=str)
+def test_sturm_count_brackets_each_raw_eigenvalue(point):
+    params = make_params(*point)
+    grid = solver_grid(params)
+    for i in range(3):
+        lams, _ = mode_eigenpairs(params, i, 3, grid)
+        for k, lam in enumerate(lams):
+            assert inertia_count(params, i, lam * (1.0 - 1e-10), grid) == k
+            assert inertia_count(params, i, lam * (1.0 + 1e-10), grid) == k + 1
+
+
+@pytest.mark.parametrize("point", EIGENPAIR_POINTS, ids=str)
+def test_eigenpairs_solve_the_pencil(point):
+    params = make_params(*point)
+    grid = solver_grid(params)
+    h = grid.spacing
+    weight = params.beta / np.cosh(params.gamma * grid.t()[1:-1]) ** 2
+    for i in range(3):
+        lams, vecs = mode_eigenpairs(params, i, 3, grid)
+        for lam, x in zip(lams, vecs.T):
+            padded = np.pad(x, 1)  # Dirichlet walls
+            ax = -(padded[2:] - 2.0 * x + padded[:-2]) / h**2 + params.tau(i) * x
+            assert np.linalg.norm(ax - lam * weight * x) <= 1e-10 * np.linalg.norm(ax)
+        gram = vecs.T @ (weight[:, None] * vecs)
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("point", EIGENPAIR_POINTS, ids=str)
+def test_eigenvalues_are_deterministic(point):
+    params = make_params(*point)
+    assert generalized_eigenvalues(params, 1, 3) == generalized_eigenvalues(params, 1, 3)
 
 
 def test_bracket_failure_is_reported(params_case2):
