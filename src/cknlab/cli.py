@@ -2,7 +2,8 @@
 
 Every subcommand prints one JSON document to stdout; sweeps emit CSV rows (or
 a JSON array) with a fixed, documented column order.  Exit codes: 0 success,
-2 invalid parameters (the violated condition is named), 3 numerical failure.
+2 invalid parameters or an unreadable or malformed sweep config (the violated
+condition, missing key or reason is named), 3 numerical failure.
 A sweep writes every row even when some fail: a failed task leaves its cells
 empty, each failed row is reported as one JSON line on stderr, and the exit
 code is then 3.
@@ -32,6 +33,7 @@ from .params import (
     DegenerateBoundary,
     InvalidParameters,
     ParameterError,
+    RegionReport,
     classify,
     felli_schneider,
     make_params,
@@ -42,7 +44,7 @@ __all__ = ["main", "run_command"]
 WORKERS_ENV = "CKNLAB_WORKERS"
 
 SWEEP_COLUMNS = {
-    "region": ["region", "b_fs", "b_fs_star", "a_c_star"],
+    "region": ["b_fs", "b_fs_star", "a_c_star"],
     "spectrum": ["lambda_00", "lambda_01", "lambda_02", "lambda_10", "lambda_11"],
     "gap": ["lambda_star", "gap_winner", "lambda_star_variant"],
     "bounds": ["bound_two_bubble", "bound_two_bubble_variant", "bound_gap", "effective_bound"],
@@ -84,8 +86,7 @@ def _emit(document: dict) -> None:
     print(json.dumps(_jsonable(document)))
 
 
-def _params_payload(params: CknParams) -> dict:
-    report = classify(params)
+def _params_payload(params: CknParams, report: RegionReport) -> dict:
     return {
         "N": params.N,
         "a": params.a,
@@ -102,148 +103,99 @@ def _params_payload(params: CknParams) -> dict:
     }
 
 
-def _cmd_region(args) -> dict:
-    params = make_params(args.N, args.a, args.b)
-    doc = {"command": "region"}
-    doc.update(_params_payload(params))
-    return doc
-
-
-def _cmd_spectrum(args) -> dict:
-    params = make_params(args.N, args.a, args.b)
+def _spectrum_fields(params: CknParams, report: RegionReport, args) -> dict:
     points = [
         spectrum.eigenvalue_closed(params, i, j)
         for i in range(args.imax + 1)
         for j in range(args.jmax + 1)
     ]
-    doc = {"command": "spectrum"}
-    doc.update(_params_payload(params))
-    doc["eigenvalues"] = [
-        {"i": pt.i, "j": pt.j, "tau": pt.tau, "lambda": pt.lam, "multiplicity": pt.multiplicity}
-        for pt in points
-    ]
-    return doc
-
-
-def _cmd_gap(args) -> dict:
-    params = make_params(args.N, args.a, args.b)
-    gap = spectrum.spectral_gap(params)
-    doc = {"command": "gap"}
-    doc.update(_params_payload(params))
-    doc.update(
-        {
-            "lambda_star": gap.lambda_star,
-            "winner": list(gap.winner),
-            "winner_multiplicity": gap.winner_multiplicity,
-            "lambda_02": gap.lambda_02,
-            "lambda_10": gap.lambda_10,
-            "lambda_11": gap.lambda_11,
-            "lambda_star_variant": gap.lambda_star_variant,
-        }
-    )
-    return doc
-
-
-def _cmd_bounds(args) -> dict:
-    params = make_params(args.N, args.a, args.b)
-    doc = {"command": "bounds"}
-    doc.update(_params_payload(params))
-    doc["bounds"] = energy.bounds_report(params)
-    return doc
-
-
-def _cmd_energy(args) -> dict:
-    params = make_params(args.N, args.a, args.b)
-    doc = {"command": "energy"}
-    doc.update(_params_payload(params))
-    doc["a0"] = energy.a0_coefficient(params)
-    doc["two_bubble"] = energy.two_bubble_quotient(params, args.s / params.gamma)
-    region = classify(params).region.value
-    doc["third_order"] = energy.third_order_coefficient(params)
-    doc["gap_perturbation"] = energy.gap_perturbation_quotient(params, args.eps)
-    doc["gap_perturbation_is_gap_bound"] = region in ("CaseI", "CaseII")
-    return doc
-
-
-def _cmd_zhat(args) -> dict:
-    params = make_params(args.N, args.a, args.b)
-    doc = {"command": "zhat"}
-    doc.update(_params_payload(params))
-    doc["appendix"] = energy.appendix_report(params)
-    return doc
-
-
-def _cmd_minimize(args) -> dict:
-    params = make_params(args.N, args.a, args.b)
-    report = minimizer.estimate_cbe(params, starts=args.starts, seed=args.seed)
-    doc = {"command": "minimize", "seed": args.seed, "starts": args.starts}
-    doc.update(_params_payload(params))
-    doc.update(
-        {
-            "q_best": report.value,
-            "distance_sq": report.distance_sq,
-            "shift": report.shift,
-            "iterations": report.iterations,
-            "gradient_norm": report.gradient_norm,
-            "start": report.start,
-            "bounds": report.bounds,
-            "trace": [[k, v] for k, v in report.trace],
-        }
-    )
-    return doc
-
-
-def _region_cells(params: CknParams, seed: int) -> dict:
-    report = classify(params)
-    return {"b_fs": report.b_fs, "b_fs_star": report.b_fs_star, "a_c_star": report.a_c_star}
-
-
-def _spectrum_cells(params: CknParams, seed: int) -> dict:
     return {
-        key: spectrum.eigenvalue_closed(params, i, j).lam
-        for key, (i, j) in {
-            "lambda_00": (0, 0),
-            "lambda_01": (0, 1),
-            "lambda_02": (0, 2),
-            "lambda_10": (1, 0),
-            "lambda_11": (1, 1),
-        }.items()
+        "eigenvalues": [
+            {"i": pt.i, "j": pt.j, "tau": pt.tau, "lambda": pt.lam, "multiplicity": pt.multiplicity}
+            for pt in points
+        ]
     }
 
 
-def _gap_cells(params: CknParams, seed: int) -> dict:
+def _gap_fields(params: CknParams, report: RegionReport, args) -> dict:
     gap = spectrum.spectral_gap(params)
     return {
         "lambda_star": gap.lambda_star,
-        "gap_winner": f"{gap.winner[0]}{gap.winner[1]}",
+        "winner": list(gap.winner),
+        "winner_multiplicity": gap.winner_multiplicity,
+        "lambda_02": gap.lambda_02,
+        "lambda_10": gap.lambda_10,
+        "lambda_11": gap.lambda_11,
         "lambda_star_variant": gap.lambda_star_variant,
     }
 
 
-def _bounds_cells(params: CknParams, seed: int) -> dict:
-    bounds = energy.bounds_report(params)
+def _energy_fields(params: CknParams, report: RegionReport, args) -> dict:
     return {
-        "bound_two_bubble": bounds.bound_two_bubble,
-        "bound_two_bubble_variant": bounds.bound_two_bubble_variant,
-        "bound_gap": bounds.bound_gap,
-        "effective_bound": bounds.effective_bound,
+        "a0": energy.a0_coefficient(params),
+        "two_bubble": energy.two_bubble_quotient(params, args.s / params.gamma),
+        "third_order": energy.third_order_coefficient(params),
+        "gap_perturbation": energy.gap_perturbation_quotient(params, args.eps),
+        "gap_perturbation_is_gap_bound": report.region.value in ("CaseI", "CaseII"),
     }
 
 
-def _zhat_cells(params: CknParams, seed: int) -> dict:
+def _minimize_fields(params: CknParams, report: RegionReport, args) -> dict:
+    best = minimizer.estimate_cbe(params, starts=args.starts, seed=args.seed)
+    return {
+        "q_best": best.value,
+        "distance_sq": best.distance_sq,
+        "shift": best.shift,
+        "iterations": best.iterations,
+        "gradient_norm": best.gradient_norm,
+        "start": best.start,
+        "bounds": best.bounds,
+        "trace": [[k, v] for k, v in best.trace],
+    }
+
+
+# the fields each point command adds to the common payload, as
+# fields(params, report, args) at a validated and classified point
+_COMMANDS = {
+    "region": lambda params, report, args: {},
+    "spectrum": _spectrum_fields,
+    "gap": _gap_fields,
+    "bounds": lambda params, report, args: {"bounds": energy.bounds_report(params)},
+    "energy": _energy_fields,
+    "zhat": lambda params, report, args: {"appendix": energy.appendix_report(params)},
+    "minimize": _minimize_fields,
+}
+
+
+def _gap_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+    gap = spectrum.spectral_gap(params)
+    return gap.lambda_star, f"{gap.winner[0]}{gap.winner[1]}", gap.lambda_star_variant
+
+
+def _bounds_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+    b = energy.bounds_report(params)
+    return b.bound_two_bubble, b.bound_two_bubble_variant, b.bound_gap, b.effective_bound
+
+
+def _zhat_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
     z = energy.zhat(params)
-    return {"zhat": z.value, "zhat_variational": z.value_variational, "q_star": z.q_star}
+    return z.value, z.value_variational, z.q_star
 
 
-def _minimize_cells(params: CknParams, seed: int) -> dict:
-    report = minimizer.estimate_cbe(params, starts=1, seed=seed)
-    return {"q_best": report.value, "q_iterations": report.iterations, "q_start": report.start}
+def _minimize_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+    best = minimizer.estimate_cbe(params, starts=1, seed=seed)
+    return best.value, best.iterations, best.start
 
 
-# one row function per sweep task, in the order of SWEEP_COLUMNS
+# one cells function per sweep task, in the order of SWEEP_COLUMNS; each is
+# called as cells(params, report, seed) and returns the values of
+# SWEEP_COLUMNS[task] in that order
 _SWEEP_TASKS = {
-    "region": _region_cells,
-    "spectrum": _spectrum_cells,
+    "region": lambda params, report, seed: (report.b_fs, report.b_fs_star, report.a_c_star),
+    "spectrum": lambda params, report, seed: tuple(
+        spectrum.eigenvalue_closed(params, i, j).lam
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))
+    ),
     "gap": _gap_cells,
     "bounds": _bounds_cells,
     "zhat": _zhat_cells,
@@ -258,19 +210,17 @@ def _sweep_point_row(task_args) -> dict:
     row: dict[str, Any] = {"N": n_dim, "a": a, "b": b}
     try:
         params = make_params(n_dim, a, b)
-    except DegenerateBoundary:
-        row["region"] = "DegenerateBoundary"
+    except ParameterError as exc:
+        row["region"] = "DegenerateBoundary" if isinstance(exc, DegenerateBoundary) else "Invalid"
         return row
-    except InvalidParameters:
-        row["region"] = "Invalid"
-        return row
-    row["region"] = classify(params).region.value
+    report = classify(params)
+    row["region"] = report.region.value
     errors = []
     for task, cells in _SWEEP_TASKS.items():
         if task not in tasks:
             continue
         try:
-            row.update(cells(params, seed))
+            row.update(zip(SWEEP_COLUMNS[task], cells(params, report, seed)))
         except NUMERICAL_ERRORS as exc:
             errors.append(f"{task}: {type(exc).__name__}")
     if errors:
@@ -286,10 +236,20 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _require(spec: dict, name: str, *keys: str) -> None:
+    missing = [key for key in keys if key not in spec]
+    if missing:
+        raise InvalidParameters(f"{name} lacks {', '.join(missing)}")
+
+
 def _validate_sweep_config(config: dict) -> None:
+    if not isinstance(config, dict):
+        raise InvalidParameters("sweep config is not a JSON object")
+    _require(config, "sweep config", "N")
     a_spec = config.get("a_range")
     if not a_spec or int(a_spec.get("steps", 0)) < 1:
         raise InvalidParameters("a_range.steps >= 1 violated")
+    _require(a_spec, "a_range", "min", "max")
     if float(a_spec["min"]) > float(a_spec["max"]):
         raise InvalidParameters("a_range ordering violated")
     b_rule = config.get("b_rule", {})
@@ -297,6 +257,7 @@ def _validate_sweep_config(config: dict) -> None:
     if kind == "absolute":
         if int(b_rule.get("steps", 0)) < 1:
             raise InvalidParameters("b_rule.steps >= 1 violated")
+        _require(b_rule, "b_rule", "min", "max")
         if float(b_rule["min"]) > float(b_rule["max"]):
             raise InvalidParameters("b_rule ordering violated")
     elif kind == "offset_fs":
@@ -313,8 +274,11 @@ def _validate_sweep_config(config: dict) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # a missing file, or not JSON
+        raise InvalidParameters(f"unreadable sweep config: {exc}") from None
     _validate_sweep_config(config)
     n_dim = int(config["N"])
     a_spec = config["a_range"]
@@ -347,30 +311,22 @@ def _cmd_sweep(args) -> int:
     else:
         rows = [_sweep_point_row(pt) for pt in points]
 
-    columns = ["N", "a", "b", "region"]
-    for task in tasks:
-        columns.extend(SWEEP_COLUMNS.get(task, []))
-
+    columns = ["N", "a", "b", "region"] + [col for task in tasks for col in SWEEP_COLUMNS[task]]
     if out_format == "json":
-        payload = json.dumps(_jsonable({"columns": columns, "rows": rows}))
-        if output_path:
-            with open(output_path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        text = json.dumps(_jsonable({"columns": columns, "rows": rows})) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
+        writer.writerows([_fmt(row.get(col)) for col in columns] for row in rows)
         text = buffer.getvalue()
-        if output_path:
-            with open(output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+    if not output_path:
+        sys.stdout.write(text)
+    else:
+        with open(output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if out_format != "json":
             print(json.dumps({"command": "sweep", "rows": len(rows), "output": output_path}))
-        else:
-            sys.stdout.write(text)
 
     failed = [row for row in rows if "error" in row]
     for row in failed:
@@ -411,31 +367,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "region": _cmd_region,
-    "spectrum": _cmd_spectrum,
-    "gap": _cmd_gap,
-    "bounds": _cmd_bounds,
-    "energy": _cmd_energy,
-    "zhat": _cmd_zhat,
-    "minimize": _cmd_minimize,
-}
-
-
 def run_command(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "sweep":
             return _cmd_sweep(args)
-        _emit(_COMMANDS[args.subcommand](args))
-        return 0
-    except ParameterError as exc:
+        params = make_params(args.N, args.a, args.b)
+        report = classify(params)
+        fields = _COMMANDS[args.subcommand](params, report, args)
+    except (ParameterError, *NUMERICAL_ERRORS) as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
-        return 2
-    except NUMERICAL_ERRORS as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__})
-        return 3
+        return 2 if isinstance(exc, ParameterError) else 3
+    doc = {"command": args.subcommand}
+    if args.subcommand == "minimize":  # the run's seed and starts lead the payload
+        doc.update(seed=args.seed, starts=args.starts)
+    doc.update(_params_payload(params, report))
+    doc.update(fields)
+    _emit(doc)
+    return 0
 
 
 def main() -> None:

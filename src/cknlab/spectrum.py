@@ -127,6 +127,7 @@ def _lambda_star_variant(params: CknParams) -> float:
     )
 
 
+@lru_cache(maxsize=32)
 def spectral_gap(params: CknParams) -> GapReport:
     """Gap constant lambda* = 1 - 1/min(lambda above 1), from the raw
     eigenvalue formula.
@@ -180,7 +181,7 @@ def _eigenfunction_raw_prime(params: CknParams, i: int, j: int, t):
     return g * envelope * (poly_term * sech_sq - k * y * jacobi_polynomial(j, k, y))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _eigenfunction_norm(params: CknParams, i: int, j: int) -> float:
     tau = params.tau(i)
 

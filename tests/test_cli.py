@@ -161,13 +161,30 @@ def test_sweep_config_validation(tmp_path):
         {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2},
          "tasks": ["no_such_task"]},
+        {"a_range": {"min": 0.0, "max": 1.0, "steps": 2},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
+        {"N": 4, "a_range": {"max": 1.0, "steps": 2},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
+        [4, 0.0, 1.0],
     ]
+    paths = []
     for k, config in enumerate(bad_configs):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(config))
+        paths.append(path)
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{N: 4")
+    paths += [not_json, tmp_path / "missing.json"]
+    errors = []
+    for path in paths:
         code, out = run_cli(["sweep", "--config", str(path)])
         assert code == 2
-        assert "error" in json.loads(out)
+        doc = json.loads(out)
+        assert doc["kind"] == "InvalidParameters"
+        errors.append(doc["error"])
+    # a missing key is named; an unreadable file says why
+    assert errors[5:7] == ["sweep config lacks N", "a_range lacks min"]
+    assert "No such file" in errors[-1]
 
 
 def test_sweep_offsets_mode(tmp_path):
@@ -247,14 +264,14 @@ def test_sweep_keeps_rows_with_failed_tasks(tmp_path, monkeypatch, capsys):
     header, data = rows[0], rows[1:]
     assert header == [
         "N", "a", "b", "region",
-        "region", "b_fs", "b_fs_star", "a_c_star",
+        "b_fs", "b_fs_star", "a_c_star",
         "zhat", "zhat_variational", "q_star",
     ]
     assert len(data) == 20
     assert 0 < len(failed_b) < 20
     for r in data:
-        assert r[3] == "CaseII" and r[5] != ""
-        empty = [cell == "" for cell in r[8:]]
+        assert r[3] == "CaseII" and r[4] != ""
+        empty = [cell == "" for cell in r[7:]]
         assert all(empty) if float(r[2]) in failed_b else not any(empty)
 
     config["format"] = "json"
@@ -264,3 +281,29 @@ def test_sweep_keeps_rows_with_failed_tasks(tmp_path, monkeypatch, capsys):
     doc = json.loads(out)
     assert {row["b"] for row in doc["rows"] if "error" in row} == failed_b
     assert len(doc["rows"]) == 20
+
+
+def test_sweep_minimize_task_matches_estimate_cbe(tmp_path):
+    from cknlab.minimizer import estimate_cbe
+
+    config = {
+        "N": 4,
+        "a_range": {"min": 0.5, "max": 0.5, "steps": 1},
+        "b_rule": {"type": "absolute", "min": 0.6, "max": 0.6, "steps": 1},
+        "tasks": ["minimize"],
+        "format": "json",
+        "seed": 5,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(["sweep", "--config", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["columns"] == ["N", "a", "b", "region", "q_best", "q_iterations", "q_start"]
+    (row,) = doc["rows"]
+    report = estimate_cbe(make_params(4, 0.5, 0.6), starts=1, seed=5)
+    assert (row["q_best"], row["q_iterations"], row["q_start"]) == (
+        report.value,
+        report.iterations,
+        report.start,
+    )
