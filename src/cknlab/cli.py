@@ -3,7 +3,7 @@
 Every subcommand prints one JSON document to stdout; sweeps emit CSV rows (or
 a JSON array) with a fixed, documented column order.  Exit codes: 0 success,
 2 invalid parameters or an unreadable or malformed sweep config (the violated
-condition, missing key or reason is named), 3 numerical failure.
+condition, missing or malformed key, or reason is named), 3 numerical failure.
 A sweep writes every row even when some fail: a failed task leaves its cells
 empty, each failed row is reported as one JSON line on stderr, and the exit
 code is then 3.
@@ -242,35 +242,78 @@ def _require(spec: dict, name: str, *keys: str) -> None:
         raise InvalidParameters(f"{name} lacks {', '.join(missing)}")
 
 
-def _validate_sweep_config(config: dict) -> None:
+def _number(value: Any, key: str, kind: type = float) -> Any:
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidParameters(f"{key} is not a number: {value!r}") from None
+
+
+def _object(config: dict, key: str) -> dict:
+    spec = config.get(key, {})
+    if not isinstance(spec, dict):
+        raise InvalidParameters(f"{key} is not a JSON object")
+    return spec
+
+
+def _axis(spec: dict, name: str) -> np.ndarray:
+    steps = _number(spec.get("steps", 0), f"{name}.steps", int)
+    if steps < 1:
+        raise InvalidParameters(f"{name}.steps >= 1 violated")
+    _require(spec, name, "min", "max")
+    lo, hi = (_number(spec[key], f"{name}.{key}") for key in ("min", "max"))
+    if lo > hi:
+        raise InvalidParameters(f"{name} ordering violated")
+    return np.linspace(lo, hi, steps)
+
+
+def _sweep_plan(config: Any) -> tuple[list, tuple, str, Any]:
+    """The points, tasks, format and output path of a sweep config; every
+    value is converted and checked here, and a bad one is named."""
     if not isinstance(config, dict):
         raise InvalidParameters("sweep config is not a JSON object")
     _require(config, "sweep config", "N")
-    a_spec = config.get("a_range")
-    if not a_spec or int(a_spec.get("steps", 0)) < 1:
-        raise InvalidParameters("a_range.steps >= 1 violated")
-    _require(a_spec, "a_range", "min", "max")
-    if float(a_spec["min"]) > float(a_spec["max"]):
-        raise InvalidParameters("a_range ordering violated")
-    b_rule = config.get("b_rule", {})
+    n_dim = _number(config["N"], "N", int)
+    a_values = _axis(_object(config, "a_range"), "a_range")
+    b_rule = _object(config, "b_rule")
     kind = b_rule.get("type", "absolute")
     if kind == "absolute":
-        if int(b_rule.get("steps", 0)) < 1:
-            raise InvalidParameters("b_rule.steps >= 1 violated")
-        _require(b_rule, "b_rule", "min", "max")
-        if float(b_rule["min"]) > float(b_rule["max"]):
-            raise InvalidParameters("b_rule ordering violated")
+        b_values = _axis(b_rule, "b_rule")
     elif kind == "offset_fs":
-        if not b_rule.get("offsets"):
-            raise InvalidParameters("b_rule.offsets must be nonempty")
+        raw = b_rule.get("offsets")
+        if not raw or not isinstance(raw, list):
+            raise InvalidParameters("b_rule.offsets must be a nonempty list")
+        offsets = [_number(off, "b_rule.offsets") for off in raw]
     else:
         raise InvalidParameters(f"unknown b_rule type {kind!r}")
-    unknown = set(config.get("tasks", [])) - set(SWEEP_COLUMNS)
+    tasks = config.get("tasks", ["region"])
+    if not isinstance(tasks, list) or not all(isinstance(task, str) for task in tasks):
+        raise InvalidParameters("tasks is not a list of task names")
+    unknown = set(tasks) - set(SWEEP_COLUMNS)
     if unknown:
         raise InvalidParameters(f"unknown sweep tasks: {sorted(unknown)}")
+    tasks = tuple(tasks)
+    seed = _number(config.get("seed", 0), "seed", int)
+    out_format = config.get("format", "csv")
+    if not isinstance(out_format, str) or out_format.lower() not in ("csv", "json"):
+        raise InvalidParameters(f"unknown format {out_format!r}")
     output = config.get("output")
+    if output and not isinstance(output, str):
+        raise InvalidParameters("output is not a path")
     if output and not os.access(os.path.dirname(os.path.abspath(output)), os.W_OK):
         raise InvalidParameters("output path not writable")
+
+    points = []
+    for a in a_values:
+        if kind == "offset_fs":  # offsets relative to the Felli-Schneider curve
+            try:
+                base = felli_schneider(n_dim, float(a))
+            except ParameterError:
+                base = math.nan
+            b_values = [base + off for off in offsets]
+        for b in b_values:
+            points.append((n_dim, float(a), float(b), tasks, seed + len(points)))
+    return points, tasks, out_format.lower(), output
 
 
 def _cmd_sweep(args) -> int:
@@ -279,30 +322,7 @@ def _cmd_sweep(args) -> int:
             config = json.load(fh)
     except (OSError, ValueError) as exc:  # a missing file, or not JSON
         raise InvalidParameters(f"unreadable sweep config: {exc}") from None
-    _validate_sweep_config(config)
-    n_dim = int(config["N"])
-    a_spec = config["a_range"]
-    a_values = np.linspace(float(a_spec["min"]), float(a_spec["max"]), int(a_spec["steps"]))
-    b_rule = config["b_rule"]
-    tasks = list(config.get("tasks", ["region"]))
-    seed = int(config.get("seed", 0))
-    out_format = config.get("format", "csv").lower()
-    output_path = config.get("output")
-
-    points = []
-    for a in a_values:
-        if b_rule.get("type", "absolute") == "absolute":
-            b_values = np.linspace(
-                float(b_rule["min"]), float(b_rule["max"]), int(b_rule["steps"])
-            )
-        else:  # offsets relative to the Felli-Schneider curve
-            try:
-                base = felli_schneider(n_dim, float(a))
-            except ParameterError:
-                base = math.nan
-            b_values = [base + float(off) for off in b_rule["offsets"]]
-        for b in b_values:
-            points.append((n_dim, float(a), float(b), tuple(tasks), seed + len(points)))
+    points, tasks, out_format, output_path = _sweep_plan(config)
 
     workers = int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 1)
     if workers > 1 and len(points) > 1:

@@ -80,8 +80,15 @@ def default_grid(params: CknParams) -> GridSpec:
 
 
 def solver_grid(params: CknParams) -> GridSpec:
-    """8000-node grid for eigenvalue solves (tail of sech^2 below 1e-25)."""
-    half = max(40.0 / params.gamma, 30.0 / params.ac_minus_a)
+    """8000-node grid for eigenvalue solves, at least 30/(a_c-a) wide.
+
+    Beyond that the walls stand where the mode-0 envelope cosh(gamma t)^(-k),
+    k = 2/(p-1), falls below e^-120, but at most at gamma t = 40.  As p -> 1
+    the envelope is a narrow Gaussian; modes i >= 1 decay faster.
+    """
+    # 120/k = 60 (p-1); the cap only keeps exp finite, as arccosh(e^40) > 40
+    envelope = math.acosh(math.exp(min(60.0 * (params.p - 1.0), 60.0)))
+    half = max(30.0 / params.ac_minus_a, min(40.0, envelope) / params.gamma)
     return GridSpec(half_width=half, nodes=8000)
 
 
@@ -215,70 +222,47 @@ class GapCheckReport:
     grid: GridSpec
 
 
-def rayleigh_gap_check(params: CknParams) -> GapCheckReport:
-    """Minimize the discretized gap quotient over the complement of the
-    bubble and its translation mode.
+def _tridiagonal_product(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
+    """A @ x for the symmetric tridiagonal A of ``_assemble``, x with columns."""
+    out = diag[:, None] * x
+    out[1:] += off * x[:-1]
+    out[:-1] += off * x[1:]
+    return out
 
-    The quotient (|rho|_H1^2 - beta int sech^2 rho^2) / |rho|_H1^2 is
-    minimized over mode-0 grid functions orthogonal (in the discrete H1 form)
-    to the sampled bubble and its derivative, and over unconstrained mode-1
-    functions; the smaller of the two is the discrete gap constant.
+
+def rayleigh_gap_check(params: CknParams) -> GapCheckReport:
+    """Minimize the discretized gap quotient 1 - x^T W x / x^T A x on the
+    pencil of ``_assemble`` over the complement of the bubble and its
+    translation mode: over the span of the lowest six mode-0 eigenvectors,
+    A-orthogonal to the sampled bubble and its derivative, and over
+    unconstrained mode-1 functions.  The smaller value is the discrete gap
+    constant; the grid factor h cancels from every ratio.
     """
     grid = solver_grid(params)
     t = grid.t()[1:-1]
-    h = grid.spacing
-
-    def a_form(x: np.ndarray, y: np.ndarray, tau: float) -> float:
-        dx = np.diff(x, prepend=0.0, append=0.0)
-        dy = np.diff(y, prepend=0.0, append=0.0)
-        return float(np.dot(dx, dy) / h + tau * h * np.dot(x, y))
-
-    weight = params.beta / np.cosh(params.gamma * t) ** 2
-
-    def b_form(x: np.ndarray, y: np.ndarray) -> float:
-        return float(h * np.dot(weight * x, y))
-
-    # mode 0: constrained maximization of the weighted form over the span of
-    # the lowest six discrete eigenvectors
-    tau0 = params.tau(0)
+    diag, weight, off = _assemble(params, 0, grid)
     _, vecs = mode_eigenpairs(params, 0, 6, grid)
-    basis = [v / math.sqrt(a_form(v, v, tau0)) for v in vecs.T]
-    psi_vec = psi(params, t)
-    psi_prime_vec = psi_prime(params, t)
-    n = len(basis)
-    constraints = np.zeros((n, 2))
-    for k, u in enumerate(basis):
-        constraints[k, 0] = a_form(u, psi_vec, tau0)
-        constraints[k, 1] = a_form(u, psi_prime_vec, tau0)
+    a_vecs = _tridiagonal_product(diag, off, vecs)
+    constraints = a_vecs.T @ np.column_stack([psi(params, t), psi_prime(params, t)])
     _, _, vt = np.linalg.svd(constraints.T, full_matrices=True)
-    null_basis = vt[2:].T  # n x (n-2), kernel of the constraint rows
-    gram_b = np.array([[b_form(u, v) for v in basis] for u in basis])
-    gram_a = np.array([[a_form(u, v, tau0) for v in basis] for u in basis])
-    mat_b = null_basis.T @ gram_b @ null_basis
-    mat_a = null_basis.T @ gram_a @ null_basis
+    null_basis = vt[2:].T  # 6 x 4, kernel of the constraint rows
+    mat_b = null_basis.T @ (vecs.T @ (weight[:, None] * vecs)) @ null_basis
+    mat_a = null_basis.T @ (vecs.T @ a_vecs) @ null_basis
     mu, coeff = eigh(mat_b, mat_a)
-    mu_max = float(mu[-1])
-    c = null_basis @ coeff[:, -1]
-    minimizer0 = sum(ck * u for ck, u in zip(c, basis))
-    mode0_value = 1.0 - mu_max
+    minimizer0 = vecs @ (null_basis @ coeff[:, -1])
+    mode0_value = 1.0 - float(mu[-1])
 
-    # mode 1: unconstrained; the ground state minimizes
-    tau1 = params.tau(1)
-    _, vecs1 = mode_eigenpairs(params, 1, 1, grid)
-    u1 = vecs1[:, 0]
-    mode1_value = 1.0 - b_form(u1, u1) / a_form(u1, u1, tau1)
+    # mode 1: unconstrained, so the ground state minimizes, and the Rayleigh
+    # quotient of a pencil eigenvector is 1/lambda
+    lams1, vecs1 = mode_eigenpairs(params, 1, 1, grid)
+    mode1_value = 1.0 - 1.0 / lams1[0]
 
-    if mode0_value <= mode1_value:
-        winner, minimizer, mmode = mode0_value, minimizer0, 0
-    else:
-        winner, minimizer, mmode = mode1_value, u1, 1
-    pad = np.zeros(grid.nodes)
-    pad[1:-1] = minimizer
+    mode = 0 if mode0_value <= mode1_value else 1
     return GapCheckReport(
-        value=winner,
+        value=min(mode0_value, mode1_value),
         mode0_value=mode0_value,
         mode1_value=mode1_value,
-        winner_mode=mmode,
-        minimizer=pad,
+        winner_mode=mode,
+        minimizer=np.pad(vecs1[:, 0] if mode else minimizer0, 1),
         grid=grid,
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "PsiNorms",
     "bubble_w",
     "bubble_w_prime",
-    "emden_fowler_image",
     "generator_v",
     "optimal_constant",
     "profile",
@@ -39,7 +37,6 @@ __all__ = [
     "psi_norms",
     "psi_prime",
     "psi_second",
-    "psi_shift",
 ]
 
 
@@ -80,11 +77,6 @@ def psi_second(params: CknParams, t):
     return (d * d * th * th - d * g * sech_sq) * psi(params, t)
 
 
-def psi_shift(params: CknParams, t, s: float):
-    """Translated bubble Psi(t - s)."""
-    return psi(params, np.asarray(t) - s)
-
-
 def bubble_w(params: CknParams, x_radius):
     """Euclidean radial extremal W(|x|) for |x| >= 0."""
     r = np.asarray(x_radius, dtype=float)
@@ -113,12 +105,6 @@ def generator_v(params: CknParams, x_radius):
     """
     r = np.asarray(x_radius, dtype=float)
     return r * bubble_w_prime(params, r) + params.ac_minus_a * bubble_w(params, r)
-
-
-def emden_fowler_image(params: CknParams, radial: Callable[[np.ndarray], np.ndarray], t):
-    """Cylinder image e^(-(a_c-a) t) f(e^(-t)) of a radial function f(r)."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(-params.ac_minus_a * t) * radial(np.exp(-t))
 
 
 @dataclass(frozen=True)

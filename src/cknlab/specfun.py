@@ -20,7 +20,6 @@ from scipy import integrate
 
 __all__ = [
     "beta",
-    "beta_reduction",
     "cosh_power_integral",
     "gamma",
     "integrate_line",
@@ -51,23 +50,6 @@ def beta(m: float, n: float) -> float:
     if m <= 0.0 or n <= 0.0:
         raise ValueError("beta requires positive arguments")
     return math.exp(math.lgamma(m) + math.lgamma(n) - math.lgamma(m + n))
-
-
-def beta_reduction(m: float, n: float) -> float:
-    """B(m, n) through the downward recursion B(m,n) = (m-1)/(m-1+n) B(m-1,n).
-
-    The recursion bottoms out in a direct Gamma evaluation once m <= 2.
-    Requires m > 1 and n > 0.
-    """
-    if m <= 1.0:
-        raise ValueError("beta_reduction requires m > 1")
-    if n <= 0.0:
-        raise ValueError("beta_reduction requires n > 0")
-    factor = 1.0
-    while m > 2.0:
-        factor *= (m - 1.0) / (m - 1.0 + n)
-        m -= 1.0
-    return factor * beta(m, n)
 
 
 def cosh_power_integral(alpha: float, beta_exp: float) -> float:

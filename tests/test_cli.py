@@ -166,6 +166,14 @@ def test_sweep_config_validation(tmp_path):
         {"N": 4, "a_range": {"max": 1.0, "steps": 2},
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
         [4, 0.0, 1.0],
+        {"N": 4, "a_range": {"min": "x", "max": 1.0, "steps": 2},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
+        {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}, "seed": "s"},
+        {"N": 4, "a_range": [0, 1, 2],
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
+        {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}, "format": "xml"},
     ]
     paths = []
     for k, config in enumerate(bad_configs):
@@ -184,6 +192,13 @@ def test_sweep_config_validation(tmp_path):
         errors.append(doc["error"])
     # a missing key is named; an unreadable file says why
     assert errors[5:7] == ["sweep config lacks N", "a_range lacks min"]
+    # a malformed value names its key
+    assert errors[8:12] == [
+        "a_range.min is not a number: 'x'",
+        "seed is not a number: 's'",
+        "a_range is not a JSON object",
+        "unknown format 'xml'",
+    ]
     assert "No such file" in errors[-1]
 
 

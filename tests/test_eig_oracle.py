@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cknlab.eig_oracle
 from cknlab.eig_oracle import (
     ConvergenceFailure,
     GridSpec,
@@ -10,6 +14,7 @@ from cknlab.eig_oracle import (
     rayleigh_gap_check,
     solver_grid,
 )
+from cknlab.extremals import psi, psi_prime
 from cknlab.params import felli_schneider, make_params
 from cknlab.spectrum import eigenvalue_closed, rho_02, rho_10_profile, spectral_gap
 from tests.conftest import sample_valid_params
@@ -89,6 +94,27 @@ def test_eigenpairs_solve_the_pencil(point):
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
 
 
+# p -> 1, where a width of 40/gamma left the eigenfunctions a few nodes wide:
+# five points that oracle_check draws (seeds 2, 5 and 9) and two more
+NEAR_P_ONE_POINTS = [
+    (5, 1.2513879312382445, 2.2051963028964434),
+    (4, 0.41838792695969806, 1.3975969974221665),
+    (7, 2.084553999716048, 3.0216720158458523),
+    (7, 2.1436156798550936, 3.111846796873887),
+    (5, 1.2296231780781426, 2.2040348849070197),
+    (3, 0.36788, 1.34732),
+    (3, -1.284, -0.2886),
+]
+
+
+@pytest.mark.parametrize("point", NEAR_P_ONE_POINTS, ids=str)
+def test_closed_form_agreement_near_p_one(point):
+    params = make_params(*point)
+    for i in range(3):
+        for j, lam in enumerate(generalized_eigenvalues(params, i, 3)):
+            assert lam == pytest.approx(eigenvalue_closed(params, i, j).lam, rel=1e-6)
+
+
 @pytest.mark.parametrize("point", EIGENPAIR_POINTS, ids=str)
 def test_eigenvalues_are_deterministic(point):
     params = make_params(*point)
@@ -98,6 +124,33 @@ def test_eigenvalues_are_deterministic(point):
 def test_bracket_failure_is_reported(params_case2):
     with pytest.raises(ConvergenceFailure):
         generalized_eigenvalues(params_case2, 60, 6, GridSpec(60.0, 2000))
+
+
+def test_oracle_module_independence():
+    tree = ast.parse(Path(cknlab.eig_oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    modules = {part for name in imported for part in name.split(".")}
+    assert not modules & {"spectrum", "energy", "cylinder", "minimizer"}
+
+
+@pytest.mark.parametrize("point", [(4, 0.0, 0.5), (3, -0.4, 0.2)], ids=str)
+def test_rayleigh_gap_minimizer_meets_constraints(point):
+    params = make_params(*point)
+    report = rayleigh_gap_check(params)
+    assert report.winner_mode == 0
+    grid = report.grid
+    t = grid.t()[1:-1]
+    v = report.minimizer  # zero at both walls
+    x = v[1:-1]
+    ax = -(v[2:] - 2.0 * x + v[:-2]) / grid.spacing**2 + params.tau(0) * x
+    for f in (psi(params, t), psi_prime(params, t)):
+        assert abs(np.dot(ax, f)) <= 1e-10 * np.linalg.norm(ax) * np.linalg.norm(f)
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

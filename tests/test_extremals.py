@@ -7,7 +7,6 @@ from scipy import integrate
 from cknlab.extremals import (
     bubble_w,
     bubble_w_prime,
-    emden_fowler_image,
     generator_v,
     optimal_constant,
     profile,
@@ -15,11 +14,11 @@ from cknlab.extremals import (
     psi_norms,
     psi_prime,
     psi_second,
-    psi_shift,
 )
 from cknlab.params import make_params
 from cknlab.specfun import sphere_area
 from tests.conftest import sample_valid_params
+from tests.oracles import emden_fowler_image
 
 
 def h1_quadrature(params, f, fp, half=None):
@@ -141,7 +140,7 @@ def test_psi_norms_identity_and_reference_value(params_case2):
 def test_psi_norms_shift_invariance(params_case2):
     p = params_case2.p
     shifted, _ = integrate.quad(
-        lambda t: psi_shift(params_case2, t, 3.0) ** (p + 1.0), -240.0, 246.0,
+        lambda t: psi(params_case2, t - 3.0) ** (p + 1.0), -240.0, 246.0,
         epsabs=1e-13, epsrel=1e-13, limit=400,
     )
     assert shifted * sphere_area(4) == pytest.approx(psi_norms(params_case2).lp1_pow, rel=1e-12)

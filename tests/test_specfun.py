@@ -7,7 +7,6 @@ from scipy.special import eval_jacobi
 
 from cknlab.specfun import (
     beta,
-    beta_reduction,
     cosh_power_integral,
     gamma,
     integrate_line,
@@ -15,6 +14,7 @@ from cknlab.specfun import (
     sphere_area,
     sphere_moments,
 )
+from tests.oracles import beta_reduction
 
 
 def quad_cosh_power(alpha, beta_exp):
