@@ -242,11 +242,20 @@ def _require(spec: dict, name: str, *keys: str) -> None:
         raise InvalidParameters(f"{name} lacks {', '.join(missing)}")
 
 
-def _number(value: Any, key: str, kind: type = float) -> Any:
+def _number(value: Any, key: str) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise InvalidParameters(f"{key} is not a number: {value!r}") from None
+
+
+def _integer(value: Any, key: str) -> int:
+    # int() would truncate 3.7 and read true as 1; "4" and 3.0 stay integers
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, bool) or not _number(value, key).is_integer():
+        raise InvalidParameters(f"{key} is not an integer: {value!r}")
+    return int(float(value))
 
 
 def _object(config: dict, key: str) -> dict:
@@ -257,7 +266,7 @@ def _object(config: dict, key: str) -> dict:
 
 
 def _axis(spec: dict, name: str) -> np.ndarray:
-    steps = _number(spec.get("steps", 0), f"{name}.steps", int)
+    steps = _integer(spec.get("steps", 0), f"{name}.steps")
     if steps < 1:
         raise InvalidParameters(f"{name}.steps >= 1 violated")
     _require(spec, name, "min", "max")
@@ -273,7 +282,7 @@ def _sweep_plan(config: Any) -> tuple[list, tuple, str, Any]:
     if not isinstance(config, dict):
         raise InvalidParameters("sweep config is not a JSON object")
     _require(config, "sweep config", "N")
-    n_dim = _number(config["N"], "N", int)
+    n_dim = _integer(config["N"], "N")
     a_values = _axis(_object(config, "a_range"), "a_range")
     b_rule = _object(config, "b_rule")
     kind = b_rule.get("type", "absolute")
@@ -293,7 +302,7 @@ def _sweep_plan(config: Any) -> tuple[list, tuple, str, Any]:
     if unknown:
         raise InvalidParameters(f"unknown sweep tasks: {sorted(unknown)}")
     tasks = tuple(tasks)
-    seed = _number(config.get("seed", 0), "seed", int)
+    seed = _integer(config.get("seed", 0), "seed")
     out_format = config.get("format", "csv")
     if not isinstance(out_format, str) or out_format.lower() not in ("csv", "json"):
         raise InvalidParameters(f"unknown format {out_format!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 
-from .extremals import psi, psi_prime
+from .extremals import bubble_half_width, psi, psi_prime
 from .params import CknParams
 
 __all__ = [
@@ -80,16 +80,9 @@ def default_grid(params: CknParams) -> GridSpec:
 
 
 def solver_grid(params: CknParams) -> GridSpec:
-    """8000-node grid for eigenvalue solves, at least 30/(a_c-a) wide.
-
-    Beyond that the walls stand where the mode-0 envelope cosh(gamma t)^(-k),
-    k = 2/(p-1), falls below e^-120, but at most at gamma t = 40.  As p -> 1
-    the envelope is a narrow Gaussian; modes i >= 1 decay faster.
-    """
-    # 120/k = 60 (p-1); the cap only keeps exp finite, as arccosh(e^40) > 40
-    envelope = math.acosh(math.exp(min(60.0 * (params.p - 1.0), 60.0)))
-    half = max(30.0 / params.ac_minus_a, min(40.0, envelope) / params.gamma)
-    return GridSpec(half_width=half, nodes=8000)
+    """8000-node grid for eigenvalue solves over the bubble window
+    (``extremals.bubble_half_width``); modes i >= 1 decay faster than mode 0."""
+    return GridSpec(half_width=bubble_half_width(params), nodes=8000)
 
 
 def _negative_count(diag: np.ndarray, weight: np.ndarray, off_sq: float, lam: float) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .cylinder import combine, model_for
 from .extremals import profile, psi_norms
 from .params import CknParams, RegionClass, classify, curve_constants
-from .specfun import beta, integrate_line, log_cosh, sphere_moments
+from .specfun import beta, sphere_moments
 from .spectrum import eigenvalue_closed, spectral_gap
 
 __all__ = [
@@ -130,10 +130,11 @@ def rho02_h1_norm_sq(params: CknParams) -> float:
 def a0_coefficient(params: CknParams) -> float:
     """Tail overlap coefficient A0 = lim e^(2 gamma s/(p-1)) <Psi^p, Psi_s>.
 
-    Evaluated by line quadrature of the tail-weighted bubble power,
+    A Beta-function value in closed form: the tail-weighted bubble power gives
 
         A0 = amplitude^(p+1) |S^(N-1)| 2^(2/(p-1))
-             * int cosh(gamma t)^(-2p/(p-1)) e^(2 gamma t/(p-1)) dt;
+             * int cosh(gamma t)^(-2p/(p-1)) e^(2 gamma t/(p-1)) dt
+           = amplitude^(p+1) |S^(N-1)| 2^((p+3)/(p-1)) (p-1) / (gamma (p+1));
 
     the 2^(2/(p-1)) factor is the bubble tail amplitude and the surface area
     closes the cylinder integral, so that the two-bubble norm expansion
@@ -141,13 +142,8 @@ def a0_coefficient(params: CknParams) -> float:
     holds numerically with coefficient exactly A0.
     """
     p, g = params.p, params.gamma
-    amp = profile(params).amplitude
-
-    def integrand(t: float) -> float:
-        return math.exp(2.0 * g * t / (p - 1.0) - 2.0 * p / (p - 1.0) * float(log_cosh(g * t)))
-
-    line = integrate_line(integrand, 1.8 * g)
-    return amp ** (p + 1.0) * sphere_moments(params.N).area * 2.0 ** (2.0 / (p - 1.0)) * line
+    tail = 2.0 ** ((p + 3.0) / (p - 1.0)) * (p - 1.0) / (g * (p + 1.0))
+    return profile(params).amplitude ** (p + 1.0) * sphere_moments(params.N).area * tail
 
 
 @dataclass(frozen=True)

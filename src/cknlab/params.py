@@ -161,6 +161,9 @@ def make_params(n_dim: int, a: float, b: float) -> CknParams:
         raise InvalidParameters("N >= 2 violated")
     a = float(a)
     b = float(b)
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise InvalidParameters(f"{name} must be finite")
     a_c = (n_dim - 2) / 2.0
     if not a < a_c:
         raise InvalidParameters("a < a_c violated")

@@ -5,8 +5,8 @@ Gamma and Beta evaluation, the sech-power line integral
     int_R cosh(s)^(-alpha) (cosh(s)^2 - 1)^beta ds = B(alpha/2 - beta, beta + 1/2),
 
 Jacobi polynomials in Rodrigues form, surface areas and coordinate moments of
-the unit sphere, and an adaptive quadrature helper for integrands with a known
-exponential decay rate on the real line.
+the unit sphere, and an adaptive quadrature helper for integrands that vanish
+outside a given window of the real line.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "beta",
@@ -138,17 +137,17 @@ def log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
 
 
-def integrate_line(f: Callable[[float], float], decay_rate: float) -> float:
-    """Adaptive quadrature of ``f`` over the real line.
+def integrate_line(f: Callable[[float], float], half_width: float) -> float:
+    """Adaptive quadrature of ``f`` over [-half_width, half_width].
 
-    ``decay_rate`` is a lower bound on the exponential decay rate of ``f``;
-    it fixes the truncation half-width so that the discarded tail is below
-    1e-16 of the peak scale.
+    The caller picks a window outside which ``f`` is negligible.  scipy's
+    quadrature is imported here, so that the closed-form paths never load it.
     """
-    if decay_rate <= 0.0:
-        raise ValueError("decay rate must be positive to choose a truncation")
-    half = (40.0 + max(0.0, -math.log(decay_rate))) / decay_rate
+    if half_width <= 0.0:
+        raise ValueError("half-width must be positive to choose a truncation")
+    from scipy import integrate
+
     value, _ = integrate.quad(
-        f, -half, half, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT
+        f, -half_width, half_width, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT
     )
     return value

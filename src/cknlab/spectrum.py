@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .extremals import psi, psi_prime, psi_second
+from .extremals import bubble_half_width, profile, psi, psi_prime, psi_second
 from .params import CknParams, RegionClass, classify
 from .specfun import integrate_line, jacobi_polynomial, log_cosh
 
@@ -166,36 +166,26 @@ def _eigenfunction_raw(params: CknParams, i: int, j: int, t):
     return jacobi_polynomial(j, k, y) * np.exp(-k * log_cosh(params.gamma * np.asarray(t)))
 
 
-def _eigenfunction_raw_prime(params: CknParams, i: int, j: int, t):
-    g = params.gamma
-    k = math.sqrt(params.tau(i)) / g
-    t = np.asarray(t, dtype=float)
-    y = np.tanh(g * t)
-    sech_sq = 1.0 - y * y
-    envelope = np.exp(-k * log_cosh(g * t))
-    if j == 0:
-        poly_term = 0.0
-    else:
-        # P_j'(y) = (j + 2k + 1)/2 * P_{j-1} with both parameters raised by 1
-        poly_term = (j + 2.0 * k + 1.0) / 2.0 * jacobi_polynomial(j - 1, k + 1.0, y)
-    return g * envelope * (poly_term * sech_sq - k * y * jacobi_polynomial(j, k, y))
-
-
-@lru_cache(maxsize=64)
 def _eigenfunction_norm(params: CknParams, i: int, j: int) -> float:
-    tau = params.tau(i)
-
-    def integrand(t: float) -> float:
-        d = _eigenfunction_raw_prime(params, i, j, t)
-        v = _eigenfunction_raw(params, i, j, t)
-        return d * d + tau * v * v
-
-    decay = 2.0 * math.sqrt(tau)
-    return math.sqrt(integrate_line(integrand, decay))
+    # testing the mode equation against phi gives |phi|_H1^2 =
+    # lambda beta int sech^2(gamma t) phi^2 dt = lambda beta h_j(k) / gamma,
+    # with h_j(k) the Jacobi norm int_{-1}^{1} P_j^(k,k)(y)^2 (1-y^2)^k dy;
+    # log-Gamma because Gamma(j+2k+1) overflows for k > 85
+    k = math.sqrt(params.tau(i)) / params.gamma
+    log_h = (
+        (2.0 * k + 1.0) * math.log(2.0)
+        + 2.0 * math.lgamma(j + k + 1.0)
+        - math.log(2.0 * j + 2.0 * k + 1.0)
+        - math.lgamma(j + 1.0)
+        - math.lgamma(j + 2.0 * k + 1.0)
+    )
+    lam = eigenvalue_closed(params, i, j).lam
+    return math.sqrt(lam * params.beta / params.gamma) * math.exp(log_h / 2.0)
 
 
 def eigenfunction(params: CknParams, i: int, j: int, t):
-    """Axis profile of the (i, j) eigenfunction, unit H1 norm.
+    """Axis profile P_j^(k,k)(tanh gamma t) cosh(gamma t)^(-k), k = sqrt(tau_i)/gamma,
+    of the (i, j) eigenfunction, divided by its H1 norm in closed form.
 
     The profile multiplies an L2(S^(N-1))-orthonormal harmonic of degree i;
     the H1 normalization is per harmonic.
@@ -264,31 +254,19 @@ class OrthogonalityReport:
 
 def orthogonality_check(params: CknParams) -> OrthogonalityReport:
     tau0 = params.tau(0)
-    decay = 2.0 * params.ac_minus_a
+    half = bubble_half_width(params)
+    amp = profile(params).amplitude
+    # the ratios are scale-free; Psi/amplitude keeps every integrand of unit
+    # scale, so quad's absolute tolerance cannot swamp it
+    rho = (lambda t: rho_02(params, t), lambda t: rho_02_prime(params, t))
+    bubble = [lambda t, f=f: f(params, t) / amp for f in (psi, psi_prime, psi_second)]
 
-    def ip(f, fp, g, gp) -> float:
-        return integrate_line(lambda t: fp(t) * gp(t) + tau0 * f(t) * g(t), decay)
+    def ip(u, v) -> float:
+        (f, fp), (g, gp) = u, v
+        return integrate_line(lambda t: fp(t) * gp(t) + tau0 * f(t) * g(t), half)
 
-    def norm(f, fp) -> float:
-        return math.sqrt(ip(f, fp, f, fp))
-
-    n_rho = norm(lambda t: rho_02(params, t), lambda t: rho_02_prime(params, t))
-    n_psi = norm(lambda t: psi(params, t), lambda t: psi_prime(params, t))
-    n_psi_prime = norm(lambda t: psi_prime(params, t), lambda t: psi_second(params, t))
-    ip_psi = ip(
-        lambda t: rho_02(params, t),
-        lambda t: rho_02_prime(params, t),
-        lambda t: psi(params, t),
-        lambda t: psi_prime(params, t),
-    )
-    ip_psi_prime = ip(
-        lambda t: rho_02(params, t),
-        lambda t: rho_02_prime(params, t),
-        lambda t: psi_prime(params, t),
-        lambda t: psi_second(params, t),
-    )
-    r1 = abs(ip_psi) / (n_rho * n_psi)
-    r2 = abs(ip_psi_prime) / (n_rho * n_psi_prime)
+    n_rho = math.sqrt(ip(rho, rho))
+    r1, r2 = (abs(ip(rho, u)) / (n_rho * math.sqrt(ip(u, u))) for u in (bubble[:2], bubble[1:]))
     return OrthogonalityReport(
         rho02_vs_psi=r1,
         rho02_vs_psi_prime=r2,

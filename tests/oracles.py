@@ -1,12 +1,15 @@
 """Reference implementations used only by the tests, as independent oracles
 for identities the package evaluates in closed form."""
 
+import math
 from typing import Callable
 
 import numpy as np
+from scipy import integrate
 
+from cknlab.extremals import bubble_half_width, profile
 from cknlab.params import CknParams
-from cknlab.specfun import beta
+from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
 
 
 def emden_fowler_image(params: CknParams, radial: Callable[[np.ndarray], np.ndarray], t):
@@ -30,3 +33,48 @@ def beta_reduction(m: float, n: float) -> float:
         factor *= (m - 1.0) / (m - 1.0 + n)
         m -= 1.0
     return factor * beta(m, n)
+
+
+def a0_quadrature(params: CknParams) -> float:
+    """A0 = amplitude^(p+1) |S^(N-1)| 2^(2/(p-1)) times the line integral of
+    the tail-weighted bubble power cosh(gamma t)^(-2p/(p-1)) e^(2 gamma t/(p-1)).
+
+    The window is (40 + max(0, -ln r))/r for the decay rate r = 1.8 gamma.
+    """
+    p, g = params.p, params.gamma
+
+    def integrand(t: float) -> float:
+        return math.exp(2.0 * g * t / (p - 1.0) - 2.0 * p / (p - 1.0) * float(log_cosh(g * t)))
+
+    rate = 1.8 * g
+    line = integrate_line(integrand, (40.0 + max(0.0, -math.log(rate))) / rate)
+    amp = profile(params).amplitude
+    return amp ** (p + 1.0) * sphere_area(params.N) * 2.0 ** (2.0 / (p - 1.0)) * line
+
+
+def jacobi_mode(params: CknParams, i: int, j: int, t):
+    """The unnormalized (i, j) axis profile P_j^(k,k)(y) cosh(gamma t)^(-k),
+    y = tanh(gamma t), k = sqrt(tau_i)/gamma, and its analytic t-derivative."""
+    g = params.gamma
+    k = math.sqrt(params.tau(i)) / g
+    t = np.asarray(t, dtype=float)
+    y = np.tanh(g * t)
+    envelope = np.exp(-k * log_cosh(g * t))
+    poly = jacobi_polynomial(j, k, y)
+    # P_j'(y) = (j + 2k + 1)/2 * P_{j-1} with both parameters raised by 1
+    poly_prime = 0.0 if j == 0 else (j + 2.0 * k + 1.0) / 2.0 * jacobi_polynomial(j - 1, k + 1.0, y)
+    return poly * envelope, g * envelope * (poly_prime * (1.0 - y * y) - k * y * poly)
+
+
+def jacobi_mode_h1_norm_sq(params: CknParams, i: int, j: int) -> float:
+    """int phi'^2 + tau_i phi^2 dt of ``jacobi_mode``, by quadrature over the
+    bubble window to a relative tolerance only."""
+    tau = params.tau(i)
+
+    def integrand(t: float) -> float:
+        value, prime = jacobi_mode(params, i, j, t)
+        return float(prime * prime + tau * value * value)
+
+    half = bubble_half_width(params)
+    value, _ = integrate.quad(integrand, -half, half, epsabs=0.0, epsrel=1e-13, limit=400)
+    return value

@@ -1,11 +1,17 @@
 import csv
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cknlab
 from cknlab.cli import run_command
 from cknlab.params import InvalidParameters, make_params
 
@@ -174,6 +180,12 @@ def test_sweep_config_validation(tmp_path):
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
         {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}, "format": "xml"},
+        {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 3.7},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
+        {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}, "seed": 1.5},
+        {"N": True, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
+         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
     ]
     paths = []
     for k, config in enumerate(bad_configs):
@@ -193,13 +205,27 @@ def test_sweep_config_validation(tmp_path):
     # a missing key is named; an unreadable file says why
     assert errors[5:7] == ["sweep config lacks N", "a_range lacks min"]
     # a malformed value names its key
-    assert errors[8:12] == [
+    assert errors[8:15] == [
         "a_range.min is not a number: 'x'",
         "seed is not a number: 's'",
         "a_range is not a JSON object",
         "unknown format 'xml'",
+        "a_range.steps is not an integer: 3.7",
+        "seed is not an integer: 1.5",
+        "N is not an integer: True",
     ]
     assert "No such file" in errors[-1]
+    # numeric strings and integral floats are read as integers
+    plain = {"N": 4, "a_range": {"min": 0.0, "max": 0.3, "steps": 2},
+             "b_rule": {"type": "absolute", "min": 0.35, "max": 0.9, "steps": 3}, "seed": 2}
+    spelled = {"N": "4", "a_range": {"min": 0.0, "max": 0.3, "steps": 2.0},
+               "b_rule": {"type": "absolute", "min": 0.35, "max": 0.9, "steps": "3"}, "seed": 2.0}
+    outputs = []
+    for k, config in enumerate((plain, spelled)):
+        path = tmp_path / f"good{k}.json"
+        path.write_text(json.dumps(config))
+        outputs.append(run_cli(["sweep", "--config", str(path)]))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_sweep_offsets_mode(tmp_path):
@@ -322,3 +348,42 @@ def test_sweep_minimize_task_matches_estimate_cbe(tmp_path):
         report.iterations,
         report.start,
     )
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_dim=st.integers(min_value=2, max_value=7),
+    point=st.one_of(
+        st.tuples(NON_FINITE, st.one_of(NON_FINITE, st.floats(-2.0, 2.0))),
+        st.tuples(st.floats(-2.0, 2.0), NON_FINITE),
+    ),
+)
+def test_non_finite_point_is_named(n_dim, point):
+    a, b = point
+    bad = "b" if math.isfinite(a) else "a"
+    with pytest.raises(InvalidParameters, match=f"^{bad} must be finite$"):
+        make_params(n_dim, a, b)
+    code, out = run_cli(["region", str(n_dim), "--", str(a), str(b)])
+    assert code == 2
+    assert json.loads(out) == {"error": f"{bad} must be finite", "kind": "InvalidParameters"}
+
+
+def test_closed_form_commands_do_not_load_quadrature():
+    script = (
+        "import contextlib, io, sys\n"
+        "from cknlab.cli import run_command\n"
+        "for command in ('region', 'spectrum', 'gap', 'bounds', 'energy', 'zhat'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run_command([command, '4', '0', '0.5']) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cknlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

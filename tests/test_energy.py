@@ -22,6 +22,7 @@ from cknlab.params import RegionClass, classify, curve_constants, make_params
 from cknlab.specfun import sphere_area, sphere_moments
 from cknlab.spectrum import rho_02, rho_10_profile, spectral_gap
 from tests.conftest import sample_valid_params
+from tests.oracles import a0_quadrature
 
 
 def line_quad(f, half):
@@ -90,6 +91,13 @@ def test_a0_positive_and_matches_independent_closed_form(rng):
             / (g * (p + 1.0))
         )
         assert a0 == pytest.approx(closed, rel=1e-11)
+
+
+def test_a0_matches_line_quadrature(rng):
+    points = [sample_valid_params(rng) for _ in range(40)]
+    points += [make_params(3, 0.36788, 1.34732), make_params(7, -0.399, 0.5293)]
+    for params in points:
+        assert a0_coefficient(params) == pytest.approx(a0_quadrature(params), rel=1e-12)
 
 
 def test_a0_norm_expansion_fit(params_p3):
