@@ -19,9 +19,9 @@ from .params import (
     felli_schneider,
     make_params,
 )
-from .extremals import bubble_w, generator_v, optimal_constant, psi, psi_norms, psi_prime
+from .extremals import GridSpec, bubble_w, generator_v, optimal_constant, psi, psi_norms, psi_prime
 from .spectrum import eigenvalue_closed, rho_02, rho_10, spectral_gap
-from .eig_oracle import GridSpec, generalized_eigenvalues, rayleigh_gap_check
+from .eig_oracle import generalized_eigenvalues, rayleigh_gap_check
 from .cylinder import CylinderFunction, CylinderModel, model_for
 from .energy import (
     a0_coefficient,

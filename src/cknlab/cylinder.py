@@ -6,6 +6,10 @@ that convention the H1 form decouples,
 
     |v|_H1^2 = sum_i  int (f_i')^2 + tau_i f_i^2 dt.
 
+The profiles form one (degrees x nodes) array, row k for the k-th degree in
+increasing order, and every gradient with respect to the samples has the same
+layout, so linear algebra on functions and gradients is array arithmetic.
+
 Axis derivatives are spectral (FFT on the periodic extension; every profile
 in scope decays far below roundoff at the walls), so the quadratic form is
 exact to machine precision for smooth profiles while remaining an explicit
@@ -33,8 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .eig_oracle import GridSpec, default_grid
-from .extremals import psi, psi_prime
+from .extremals import GridSpec, default_grid, psi, psi_prime
 from .params import CknParams
 from .spectrum import rho_02, rho_10_profile
 from .specfun import sphere_area
@@ -68,47 +71,36 @@ class SearchFailure(RuntimeError):
 class CylinderFunction:
     """Mode-truncated zonal function: profiles against orthonormal harmonics.
 
-    ``derivs`` carries the spectral axis derivative of each profile; linear
-    operations propagate it so the H1 form never re-differentiates.
+    Row k of ``values`` samples the axis profile of degree ``degrees[k]``, and
+    row k of ``derivs`` its spectral axis derivative; linear operations
+    propagate both so the H1 form never re-differentiates.  ``degrees`` is a
+    sorted tuple of unique degrees, and both arrays are read-only and shaped
+    ``(len(degrees), grid.nodes)``.
     """
 
     params: CknParams
     grid: GridSpec
-    modes: tuple[tuple[int, np.ndarray], ...]
-    derivs: tuple[tuple[int, np.ndarray], ...]
+    degrees: tuple[int, ...]
+    values: np.ndarray
+    derivs: np.ndarray
 
     def __post_init__(self) -> None:
-        degrees = [d for d, _ in self.modes]
-        if degrees != sorted(set(degrees)):
-            raise ValueError("modes must be sorted by degree and unique")
-        if [d for d, _ in self.derivs] != degrees:
-            raise ValueError("derivative table must mirror the mode table")
-        for _, values in self.modes + self.derivs:
-            values.setflags(write=False)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.modes)
+        if not isinstance(self.degrees, tuple) or list(self.degrees) != sorted(set(self.degrees)):
+            raise ValueError("degrees must be a tuple of sorted unique degrees")
+        shape = (len(self.degrees), self.grid.nodes)
+        if self.values.shape != shape or self.derivs.shape != shape:
+            raise ValueError(f"values and derivs must both have shape {shape}")
+        self.values.setflags(write=False)
+        self.derivs.setflags(write=False)
 
     def mode(self, degree: int) -> np.ndarray:
-        for d, values in self.modes:
-            if d == degree:
-                return values
-        return np.zeros(self.grid.nodes)
-
-    def deriv(self, degree: int) -> np.ndarray:
-        for d, values in self.derivs:
-            if d == degree:
-                return values
+        if degree in self.degrees:
+            return self.values[self.degrees.index(degree)]
         return np.zeros(self.grid.nodes)
 
 
 def scale(v: CylinderFunction, c: float) -> CylinderFunction:
-    return replace(
-        v,
-        modes=tuple((d, c * values) for d, values in v.modes),
-        derivs=tuple((d, c * values) for d, values in v.derivs),
-    )
+    return replace(v, values=c * v.values, derivs=c * v.derivs)
 
 
 def combine(coeffs, funcs) -> CylinderFunction:
@@ -117,31 +109,27 @@ def combine(coeffs, funcs) -> CylinderFunction:
     for f in funcs[1:]:
         if f.grid != first.grid or f.params != first.params:
             raise GridMismatch("cannot combine functions from different models")
-    degrees = sorted({d for f in funcs for d in f.degrees})
-    modes = []
-    derivs = []
-    for d in degrees:
-        acc = np.zeros(first.grid.nodes)
-        acc_d = np.zeros(first.grid.nodes)
-        for c, f in zip(coeffs, funcs):
-            acc = acc + c * f.mode(d)
-            acc_d = acc_d + c * f.deriv(d)
-        modes.append((d, acc))
-        derivs.append((d, acc_d))
-    return CylinderFunction(
-        params=first.params, grid=first.grid, modes=tuple(modes), derivs=tuple(derivs)
-    )
+    degrees = tuple(sorted({d for f in funcs for d in f.degrees}))
+    values = np.zeros((len(degrees), first.grid.nodes))
+    derivs = np.zeros_like(values)
+    for c, f in zip(coeffs, funcs):
+        rows = np.searchsorted(degrees, f.degrees)
+        values[rows] += c * f.values
+        derivs[rows] += c * f.derivs
+    return CylinderFunction(first.params, first.grid, degrees, values, derivs)
 
 
 @dataclass(frozen=True)
 class ManifoldProjection:
-    """Projection of a function onto the bubble manifold."""
+    """Projection of a function onto the bubble manifold, with the |v|_H1^2
+    that its distance is measured against."""
 
     shift: float
     scalar: float
     overlap: float
     distance_sq: float
     edge_attained: bool
+    h1_sq: float
 
 
 @lru_cache(maxsize=32)
@@ -189,10 +177,12 @@ class CylinderModel:
         self.kappa = self.energy_psi / self.lp1_pow_psi**2
 
     def spectral_derivative(self, f: np.ndarray) -> np.ndarray:
+        """Axis derivative of each row of ``f``."""
         return np.fft.irfft(1j * self.omega * np.fft.rfft(f), n=self.grid.nodes)
 
     def spectral_neg_laplacian(self, f: np.ndarray) -> np.ndarray:
-        """D^T D f, the gradient kernel of the derivative part of the H1 form."""
+        """D^T D f for each row of ``f``, the gradient kernel of the derivative
+        part of the H1 form."""
         return np.fft.irfft(self.omega**2 * np.fft.rfft(f), n=self.grid.nodes)
 
     # ------------------------------------------------------------------
@@ -220,10 +210,13 @@ class CylinderModel:
             raise GridMismatch("function does not belong to this model")
 
     def function(self, modes: dict[int, np.ndarray]) -> CylinderFunction:
-        items = tuple((d, np.array(modes[d], dtype=float)) for d in sorted(modes))
-        derivs = tuple((d, self.spectral_derivative(f)) for d, f in items)
+        degrees = tuple(sorted(modes))
+        return self.from_rows(degrees, np.array([modes[d] for d in degrees], dtype=float))
+
+    def from_rows(self, degrees: tuple[int, ...], values: np.ndarray) -> CylinderFunction:
+        """The function whose degree-``degrees[k]`` profile is ``values[k]``."""
         return CylinderFunction(
-            params=self.params, grid=self.grid, modes=items, derivs=derivs
+            self.params, self.grid, degrees, values, self.spectral_derivative(values)
         )
 
     def psi_function(self, shift: float = 0.0, scalar: float = 1.0) -> CylinderFunction:
@@ -270,27 +263,26 @@ class CylinderModel:
         self._check(u)
         self._check(v)
         total = 0.0
-        for d in sorted(set(u.degrees) | set(v.degrees)):
-            tau = self.params.tau(d)
-            total += self.h * float(np.dot(u.deriv(d), v.deriv(d)))
-            total += tau * self.h * float(np.dot(u.mode(d), v.mode(d)))
+        for d in sorted(set(u.degrees) & set(v.degrees)):
+            i, j = u.degrees.index(d), v.degrees.index(d)
+            total += self.h * float(np.dot(u.derivs[i], v.derivs[j]))
+            total += self.params.tau(d) * self.h * float(np.dot(u.values[i], v.values[j]))
         return total
 
     def lp1_pow(self, v: CylinderFunction, with_gradient: bool = False):
         """int |v|^(p+1) over the cylinder.
 
-        With ``with_gradient`` the result is ``(value, grads)``, where
-        ``grads[d]`` is the gradient with respect to the samples of the degree-d
-        profile; both come from one pass over the core |v|^(p-1) v.
+        With ``with_gradient`` the result is ``(value, grads)``, where row k of
+        ``grads`` is the gradient with respect to the samples of ``v.values[k]``;
+        both come from one pass over the core |v|^(p-1) v.
         """
         self._check(v)
         p = self.params.p
+        profiles = v.values.T
         if v.degrees == (0,):
-            profiles = v.mode(0)[:, None]
             per_degree = np.abs(profiles) ** (p - 1.0) * profiles
             weight = self.area ** (1.0 - (p + 1.0) / 2.0) * self.h
         else:
-            profiles = np.stack([f for _, f in v.modes], axis=1)
             harmonics = np.stack([self.harmonic_values(d) for d in v.degrees])
             values = profiles @ harmonics  # v(t_k, phi_m) on the tensor grid
             # worked in place: a fresh temporary of this size costs more to
@@ -305,21 +297,21 @@ class CylinderModel:
         if not with_gradient:
             return value
         per_degree *= weight * (p + 1.0)
-        return value, {d: per_degree[:, i] for i, d in enumerate(v.degrees)}
+        return value, np.ascontiguousarray(per_degree.T)
 
     def lp1_norm(self, v: CylinderFunction) -> float:
         return self.lp1_pow(v) ** (1.0 / (self.params.p + 1.0))
 
     def quotient_parts(
         self, v: CylinderFunction, lp1_pow: float | None = None
-    ) -> tuple[float, float, ManifoldProjection]:
-        """|v|_H1^2, the quotient numerator |v|_H1^2 - C^-1 |v|_{p+1}^2, and the
-        manifold projection; ``lp1_pow`` is int |v|^(p+1) when already known."""
-        h1 = self.h1_inner(v, v)
+    ) -> tuple[float, ManifoldProjection]:
+        """The quotient numerator |v|_H1^2 - C^-1 |v|_{p+1}^2 and the manifold
+        projection; ``lp1_pow`` is int |v|^(p+1) when already known."""
+        projection = self.distance_to_manifold(v)
         if lp1_pow is None:
             lp1_pow = self.lp1_pow(v)
-        numerator = h1 - self.c_inv * lp1_pow ** (2.0 / (self.params.p + 1.0))
-        return h1, numerator, self.distance_to_manifold(v)
+        p = self.params.p
+        return projection.h1_sq - self.c_inv * lp1_pow ** (2.0 / (p + 1.0)), projection
 
     # ------------------------------------------------------------------
     # manifold machinery
@@ -402,6 +394,7 @@ class CylinderModel:
             overlap=ov,
             distance_sq=h1_sq - self.kappa * ov * ov,
             edge_attained=bool(edge),
+            h1_sq=h1_sq,
         )
 
     def project_mperp(self, v: CylinderFunction) -> CylinderFunction:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 
-from .extremals import bubble_half_width, psi, psi_prime
+from .extremals import GridSpec, bubble_half_width, default_grid, psi, psi_prime
 from .params import CknParams
 
 __all__ = [
@@ -46,37 +46,6 @@ class ConvergenceFailure(RuntimeError):
     """The Lanczos solve did not converge, the requested eigenvalues are not
     all below lambda = 1e3, or the Sturm count does not certify that exactly
     the smallest ones were found."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform axis grid on [-T, T] with Dirichlet ends."""
-
-    half_width: float
-    nodes: int
-
-    def __post_init__(self) -> None:
-        if self.half_width <= 0.0:
-            raise ValueError("grid half-width must be positive")
-        if self.nodes < 2000:
-            raise ValueError("grid needs at least 2000 nodes")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.nodes - 1)
-
-    def t(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.nodes)
-
-
-def default_grid(params: CknParams) -> GridSpec:
-    """4096-node grid wide enough for both the sech^2 well and the bubble tails.
-
-    The bubble decays like e^(-(a_c-a)|t|), so the width scales with whichever
-    of 60/gamma and 30/(a_c-a) is larger.
-    """
-    half = max(60.0 / params.gamma, 30.0 / params.ac_minus_a)
-    return GridSpec(half_width=half, nodes=4096)
 
 
 def solver_grid(params: CknParams) -> GridSpec:

@@ -139,11 +139,15 @@ def a0_coefficient(params: CknParams) -> float:
     the 2^(2/(p-1)) factor is the bubble tail amplitude and the surface area
     closes the cylinder integral, so that the two-bubble norm expansion
     |Psi + Psi_s|_H1^2 = 2 |Psi|_H1^2 + 2 A0 e^(-2 gamma s/(p-1)) + ...
-    holds numerically with coefficient exactly A0.
+    holds numerically with coefficient exactly A0.  Raises ``OverflowError``
+    where A0 leaves the double range, which happens near p -> 1.
     """
     p, g = params.p, params.gamma
     tail = 2.0 ** ((p + 3.0) / (p - 1.0)) * (p - 1.0) / (g * (p + 1.0))
-    return profile(params).amplitude ** (p + 1.0) * sphere_moments(params.N).area * tail
+    a0 = profile(params).amplitude ** (p + 1.0) * sphere_moments(params.N).area * tail
+    if not math.isfinite(a0):
+        raise OverflowError(f"A0 overflows the double range at p = {p!r}")
+    return a0
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
         raise ValueError("two-bubble separation exceeds the search window")
     p = params.p
     v = model.two_bubble(s)
-    _, numerator, projection = model.quotient_parts(v)
+    numerator, projection = model.quotient_parts(v)
     dist_sq = projection.distance_sq
     value = numerator / dist_sq
     bounds = bounds_report(params)
@@ -231,7 +235,7 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
     model = model_for(params)
     p = params.p
     v = combine([1.0, eps], [model.psi_function(), model.rho02_function()])
-    _, numerator, projection = model.quotient_parts(v)
+    numerator, projection = model.quotient_parts(v)
     dist_sq = projection.distance_sq
     value = numerator / dist_sq
     lam02 = eigenvalue_closed(params, 0, 2).lam

@@ -26,11 +26,13 @@ from .specfun import beta, log_cosh, sphere_area
 
 __all__ = [
     "ExtremalProfile",
+    "GridSpec",
     "OptimalConstant",
     "PsiNorms",
     "bubble_half_width",
     "bubble_w",
     "bubble_w_prime",
+    "default_grid",
     "generator_v",
     "optimal_constant",
     "profile",
@@ -67,6 +69,37 @@ def bubble_half_width(params: CknParams) -> float:
     # 120/k = 60 (p-1); the cap only keeps exp finite, as arccosh(e^40) > 40
     envelope = math.acosh(math.exp(min(60.0 * (params.p - 1.0), 60.0)))
     return max(30.0 / params.ac_minus_a, min(40.0, envelope) / params.gamma)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform axis grid on [-T, T] with Dirichlet ends."""
+
+    half_width: float
+    nodes: int
+
+    def __post_init__(self) -> None:
+        if self.half_width <= 0.0:
+            raise ValueError("grid half-width must be positive")
+        if self.nodes < 2000:
+            raise ValueError("grid needs at least 2000 nodes")
+
+    @property
+    def spacing(self) -> float:
+        return 2.0 * self.half_width / (self.nodes - 1)
+
+    def t(self) -> np.ndarray:
+        return np.linspace(-self.half_width, self.half_width, self.nodes)
+
+
+def default_grid(params: CknParams) -> GridSpec:
+    """4096-node grid wide enough for both the sech^2 well and the bubble tails.
+
+    The bubble decays like e^(-(a_c-a)|t|), so the width scales with whichever
+    of 60/gamma and 30/(a_c-a) is larger.
+    """
+    half = max(60.0 / params.gamma, 30.0 / params.ac_minus_a)
+    return GridSpec(half_width=half, nodes=4096)
 
 
 def psi(params: CknParams, t):

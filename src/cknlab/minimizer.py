@@ -99,12 +99,12 @@ class QuotientReport:
 class _Iterate:
     """An L^{p+1}-normalized function with the pieces of its quotient and gradient.
 
-    Normalization makes int |v|^{p+1} = 1, so the numerator is h1 - C^-1.
+    Normalization makes int |v|^{p+1} = 1, so the numerator is |v|_H1^2 - C^-1.
+    Row k of ``lp1_grads`` belongs to ``v.degrees[k]``.
     """
 
     v: CylinderFunction
-    h1: float
-    lp1_grads: dict
+    lp1_grads: np.ndarray
     projection: ManifoldProjection
     numerator: float
 
@@ -113,8 +113,8 @@ class _Iterate:
         return self.numerator / self.projection.distance_sq
 
 
-def _require_off_manifold(h1: float, projection: ManifoldProjection) -> None:
-    if projection.distance_sq <= ON_MANIFOLD_TOL * h1:
+def _require_off_manifold(projection: ManifoldProjection) -> None:
+    if projection.distance_sq <= ON_MANIFOLD_TOL * projection.h1_sq:
         raise OnManifold("distance to the bubble manifold is numerically zero")
 
 
@@ -126,8 +126,8 @@ class _Objective:
         self.p = model.params.p
 
     def value(self, v: CylinderFunction):
-        h1, numerator, projection = self.model.quotient_parts(v)
-        _require_off_manifold(h1, projection)
+        numerator, projection = self.model.quotient_parts(v)
+        _require_off_manifold(projection)
         return numerator / projection.distance_sq, projection
 
     def normalized(self, v: CylinderFunction) -> _Iterate:
@@ -137,51 +137,43 @@ class _Objective:
         c = 1.0 / lp1_pow ** (1.0 / (self.p + 1.0))
         v = scale(v, c)
         # int |c v|^{p+1} = 1 by homogeneity, and its gradient scales by c^p
-        h1, numerator, projection = m.quotient_parts(v, 1.0)
+        numerator, projection = m.quotient_parts(v, 1.0)
         return _Iterate(
-            v=v,
-            h1=h1,
-            lp1_grads={d: c**self.p * g for d, g in lp1_grads.items()},
-            projection=projection,
-            numerator=numerator,
+            v=v, lp1_grads=c**self.p * lp1_grads, projection=projection, numerator=numerator
         )
 
-    def _h1_grads(self, v: CylinderFunction) -> dict:
+    def _h1_grads(self, v: CylinderFunction) -> np.ndarray:
         m = self.model
-        return {
-            d: 2.0 * m.h * (m.spectral_neg_laplacian(v.mode(d)) + m.params.tau(d) * v.mode(d))
-            for d in v.degrees
-        }
+        tau = np.array([m.params.tau(d) for d in v.degrees])[:, None]
+        return 2.0 * m.h * (m.spectral_neg_laplacian(v.values) + tau * v.values)
 
-    def _numerator_grads(self, h1_grads: dict, lp1_pow: float, lp1_grads: dict) -> dict:
+    def _numerator_grads(
+        self, h1_grads: np.ndarray, lp1_pow: float, lp1_grads: np.ndarray
+    ) -> np.ndarray:
         # d/df of C^-1 (int |v|^{p+1})^{2/(p+1)} through the L^{p+1} gradient
         p = self.p
         factor = self.model.c_inv * 2.0 / (p + 1.0) * lp1_pow ** (2.0 / (p + 1.0) - 1.0)
-        return {d: g - factor * lp1_grads[d] for d, g in h1_grads.items()}
+        return h1_grads - factor * lp1_grads
 
-    def gradient(self, it: _Iterate):
-        """dQ/d(samples), mode-wise, analytic through the envelope property."""
+    def gradient(self, it: _Iterate) -> np.ndarray:
+        """dQ/d(samples), row k for ``it.v.degrees[k]``, analytic through the
+        envelope property."""
         m = self.model
         projection = it.projection
-        dist_sq = projection.distance_sq
-        q = it.value
         h1_grads = self._h1_grads(it.v)
         num_grads = self._numerator_grads(h1_grads, 1.0, it.lp1_grads)
-        # overlap gradient at the optimal shift; the shift's own derivative
-        # drops out by the envelope property
-        psi_pow_shift = psi(m.params, m.t - projection.shift) ** self.p
-        grad_overlap0 = m.sqrt_area * m.h * psi_pow_shift
+        # overlap gradient at the optimal shift, in the radial row only; the
+        # shift's own derivative drops out by the envelope property
+        dist_grads = h1_grads.copy()
+        if 0 in it.v.degrees:
+            psi_pow_shift = psi(m.params, m.t - projection.shift) ** self.p
+            grad_overlap0 = m.sqrt_area * m.h * psi_pow_shift
+            dist_grads[0] -= 2.0 * m.kappa * projection.overlap * grad_overlap0
+        return (num_grads - it.value * dist_grads) / projection.distance_sq
 
-        grads = {}
-        for d, g_num in num_grads.items():
-            g_dist = h1_grads[d]
-            if d == 0:
-                g_dist = g_dist - 2.0 * m.kappa * projection.overlap * grad_overlap0
-            grads[d] = (g_num - q * g_dist) / dist_sq
-        return grads
-
-    def numerator_gradient(self, v: CylinderFunction):
-        """Gradient of the numerator alone (used by the correctness checks)."""
+    def numerator_gradient(self, v: CylinderFunction) -> np.ndarray:
+        """Gradient of the numerator alone, row k for ``v.degrees[k]`` (used by
+        the correctness checks)."""
         lp1_pow, lp1_grads = self.model.lp1_pow(v, with_gradient=True)
         return self._numerator_grads(self._h1_grads(v), lp1_pow, lp1_grads)
 
@@ -250,7 +242,7 @@ def minimize_quotient(
     else:
         v, label = _build_start(model, config)
     it = objective.normalized(v)
-    _require_off_manifold(it.h1, it.projection)
+    _require_off_manifold(it.projection)
     best_q = it.value
     trace = [(0, best_q)]
     best_report = (best_q, it.projection)
@@ -260,17 +252,15 @@ def minimize_quotient(
     for iteration in range(1, config.max_iterations + 1):
         grads = objective.gradient(it)
         q = it.value
-        grad_norm = math.sqrt(
-            sum(model.h * float(np.dot(g, g)) for g in grads.values())
-        )
+        grad_norm = math.sqrt(sum(model.h * float(np.dot(g, g)) for g in grads))
         if grad_norm <= GRADIENT_TOL * max(1.0, abs(q)):
             break
-        direction = model.function({d: -g for d, g in grads.items()})
+        direction = model.from_rows(it.v.degrees, -grads)
         accepted = False
         alpha = step
         for _ in range(30):
             candidate = objective.normalized(combine([1.0, alpha], [it.v, direction]))
-            if candidate.projection.distance_sq < MANIFOLD_GUARD * candidate.h1:
+            if candidate.projection.distance_sq < MANIFOLD_GUARD * candidate.projection.h1_sq:
                 alpha *= 0.5  # re-project away from the manifold
                 continue
             q_cand = candidate.value

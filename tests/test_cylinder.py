@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cknlab.cylinder import GridMismatch, combine, model_for, scale
+from cknlab.cylinder import CylinderFunction, GridMismatch, combine, model_for, scale
 from cknlab.energy import rho02_h1_norm_sq
 from cknlab.extremals import psi_norms
 
@@ -21,6 +21,49 @@ def test_h1_orthogonality_of_soft_modes(params_case2):
     psip = model.psi_prime_function()
     bound = 1e-10 * math.sqrt(model.h1_inner(psif, psif) * model.h1_inner(psip, psip))
     assert abs(model.h1_inner(psif, psip)) < bound
+
+
+def test_cylinder_function_validates_its_layout(params_case2):
+    model = model_for(params_case2)
+    n = model.grid.nodes
+
+    def build(degrees, shape=(2, n), derivs_shape=None):
+        return CylinderFunction(
+            params_case2, model.grid, degrees, np.zeros(shape), np.zeros(derivs_shape or shape)
+        )
+
+    build((0, 1))
+    for degrees in ((1, 0), (0, 0), [0, 1]):
+        with pytest.raises(ValueError, match="degrees"):
+            build(degrees)
+    for shape, derivs_shape in (((2, n - 1), None), ((3, n), None), ((n,), None), ((2, n), (1, n))):
+        with pytest.raises(ValueError, match="shape"):
+            build((0, 1), shape, derivs_shape)
+    v = model.function({0: model.psi_values, 2: model.psi_values})
+    assert v.degrees == (0, 2)
+    for u in (v, scale(v, 2.0), combine([1.0, 1.0], [v, model.rho10_function()])):
+        for array in (u.values, u.derivs):
+            assert array.shape == (len(u.degrees), n)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+
+def test_array_layout_matches_the_per_degree_loop(params_case2, rng):
+    # batched FFTs and row updates do the per-degree arithmetic unchanged, so
+    # the per-degree loop is an exact reference
+    model = model_for(params_case2)
+    n = model.grid.nodes
+    envelope = np.exp(-((model.t / 40.0) ** 2))
+    u = model.function({d: rng.standard_normal(n) * envelope for d in (0, 1)})
+    w = model.function({d: rng.standard_normal(n) * envelope for d in (0, 2)})
+    for f in (u, w):
+        for k, d in enumerate(f.degrees):
+            assert np.array_equal(f.derivs[k], model.spectral_derivative(f.mode(d)))
+    mixed = combine([0.3, -1.7], [u, w])
+    assert mixed.degrees == (0, 1, 2)
+    for k, d in enumerate(mixed.degrees):
+        reference = np.zeros(n) + 0.3 * u.mode(d) + -1.7 * w.mode(d)
+        assert np.array_equal(mixed.values[k], reference)
 
 
 def test_mode_one_norm_reflection_invariance(params_remaining):

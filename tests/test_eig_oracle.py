@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cknlab.cylinder
 import cknlab.eig_oracle
+import cknlab.energy
+import cknlab.minimizer
 from cknlab.eig_oracle import (
     ConvergenceFailure,
     GridSpec,
@@ -126,8 +129,8 @@ def test_bracket_failure_is_reported(params_case2):
         generalized_eigenvalues(params_case2, 60, 6, GridSpec(60.0, 2000))
 
 
-def test_oracle_module_independence():
-    tree = ast.parse(Path(cknlab.eig_oracle.__file__).read_text())
+def _imported_modules(module) -> set[str]:
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -135,8 +138,15 @@ def test_oracle_module_independence():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    modules = {part for name in imported for part in name.split(".")}
+    return {part for name in imported for part in name.split(".")}
+
+
+def test_oracle_module_independence():
+    modules = _imported_modules(cknlab.eig_oracle)
     assert not modules & {"spectrum", "energy", "cylinder", "minimizer"}
+    # nor does the cylinder side import the oracle (and scipy.linalg with it)
+    for module in (cknlab.cylinder, cknlab.energy, cknlab.minimizer):
+        assert "eig_oracle" not in _imported_modules(module), module.__name__
 
 
 @pytest.mark.parametrize("point", [(4, 0.0, 0.5), (3, -0.4, 0.2)], ids=str)

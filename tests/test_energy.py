@@ -100,6 +100,12 @@ def test_a0_matches_line_quadrature(rng):
         assert a0_coefficient(params) == pytest.approx(a0_quadrature(params), rel=1e-12)
 
 
+def test_a0_raises_where_it_leaves_the_double_range():
+    # p = 1.0062: amplitude^(p+1) and 2^((p+3)/(p-1)) overflow in a float product
+    with pytest.raises(OverflowError, match="A0"):
+        a0_coefficient(make_params(3, -1.284, -0.2886))
+
+
 def test_a0_norm_expansion_fit(params_p3):
     # (|Psi + Psi_s|^2 - 2 |Psi|^2) / (2 e^{-2 gamma s/(p-1)}) -> A0
     model = model_for(params_p3)

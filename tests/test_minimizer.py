@@ -99,6 +99,59 @@ def test_numerator_gradient_matches_finite_differences(params_case2, rng):
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-6 * (h1_part + abs(analytic)))
 
 
+@pytest.mark.parametrize("layout", ["rho10 alone", "degrees 0 and 2"])
+def test_numerator_gradient_rows_follow_degrees(params_case2, rng, layout):
+    # row k of the gradient belongs to v.degrees[k]; in these layouts row
+    # index and degree differ
+    model = model_for(params_case2)
+    objective = _Objective(model)
+    envelope = np.exp(-((model.t / 40.0) ** 2))
+    if layout == "rho10 alone":
+        v = model.rho10_function()
+    else:
+        radial = model.psi_function().mode(0)
+        v = model.function({0: radial, 2: 0.3 * model.rho02_function().mode(0)})
+    assert v.degrees == ((1,) if layout == "rho10 alone" else (0, 2))
+
+    def numerator(u):
+        return model.h1_inner(u, u) - model.c_inv * model.lp1_pow(u) ** (
+            2.0 / (params_case2.p + 1.0)
+        )
+
+    grads = objective.numerator_gradient(v)
+    assert grads.shape == (len(v.degrees), model.grid.nodes)
+    for _ in range(2):
+        direction = model.function(
+            {d: rng.standard_normal(model.grid.nodes) * envelope for d in v.degrees}
+        )
+        eps = 3e-5
+
+        def at(c, _d=direction):
+            return numerator(combine([1.0, c], [v, _d]))
+
+        fd = (-at(2 * eps) + 8.0 * at(eps) - 8.0 * at(-eps) + at(-2 * eps)) / (12.0 * eps)
+        analytic = sum(
+            float(np.dot(grads[k], direction.mode(d))) for k, d in enumerate(v.degrees)
+        )
+        h1_part = sum(
+            abs(
+                float(
+                    np.dot(
+                        2.0
+                        * model.h
+                        * (
+                            model.spectral_neg_laplacian(v.mode(d))
+                            + params_case2.tau(d) * v.mode(d)
+                        ),
+                        direction.mode(d),
+                    )
+                )
+            )
+            for d in v.degrees
+        )
+        assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-6 * (h1_part + abs(analytic)))
+
+
 def test_descent_trace_is_monotone(params_case2):
     report = minimize_quotient(MinimizeConfig(start=("gap", 0.05), max_iterations=30), params_case2)
     values = [q for _, q in report.trace]
