@@ -33,7 +33,7 @@ from .energy import (
     two_bubble_quotient,
     zhat,
 )
-from .minimizer import MinimizeConfig, estimate_cbe, minimize_quotient, quotient
+from .minimizer import estimate_cbe, gap_start, minimize_quotient, quotient, random_start
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "DegenerateBoundary",
     "GridSpec",
     "InvalidParameters",
-    "MinimizeConfig",
     "ParameterError",
     "RegionClass",
     "a0_coefficient",
@@ -58,6 +57,7 @@ __all__ = [
     "fbar",
     "felli_schneider",
     "gap_perturbation_quotient",
+    "gap_start",
     "generalized_eigenvalues",
     "generator_v",
     "make_params",
@@ -68,6 +68,7 @@ __all__ = [
     "psi_norms",
     "psi_prime",
     "quotient",
+    "random_start",
     "rayleigh_gap_check",
     "rho_02",
     "rho_10",

@@ -49,6 +49,7 @@ __all__ = [
     "ManifoldProjection",
     "SearchFailure",
     "combine",
+    "model_for",
     "scale",
 ]
 
@@ -67,7 +68,7 @@ class SearchFailure(RuntimeError):
     """The shift search for the manifold projection did not converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylinderFunction:
     """Mode-truncated zonal function: profiles against orthonormal harmonics.
 
@@ -75,7 +76,7 @@ class CylinderFunction:
     row k of ``derivs`` its spectral axis derivative; linear operations
     propagate both so the H1 form never re-differentiates.  ``degrees`` is a
     sorted tuple of unique degrees, and both arrays are read-only and shaped
-    ``(len(degrees), grid.nodes)``.
+    ``(len(degrees), grid.nodes)``.  Functions compare and hash by identity.
     """
 
     params: CknParams

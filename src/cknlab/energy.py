@@ -286,13 +286,15 @@ def zhat(params: CknParams) -> ZhatReport:
     b2 = beta(1.0 + k1, 0.5)
     b3 = beta((p + 1.0) / (p - 1.0), 0.5)
 
+    # amp^(p-1) = (p+1) d^2/2 exactly, and |Psi|_H1^2 = amp^(p+1) |S| b3/gamma, so
+    # moment2^2/|Psi|_H1^2 = amp^(p-3) second^2 b2^2/(gamma |S| b3) with no amp^(p+1)
     moment4 = amp ** (p - 3.0) * moments.fourth / g * b1
-    moment2 = amp ** (p - 1.0) * moments.second / g * b2
-    energy = psi_norms(params).h1_sq
+    moment2 = (p + 1.0) * d * d / 2.0 * moments.second / g * b2
+    moment2_sq_over_energy = amp ** (p - 3.0) * moments.second**2 * b2 * b2 / (g * area * b3)
 
     value_var = (
         p * (p - 1.0) * (p - 2.0) / 12.0 * moment4
-        - (p - 1.0) * p**2 / 4.0 * moment2**2 / energy
+        - (p - 1.0) * p**2 / 4.0 * moment2_sq_over_energy
     )
     # display convention: the quartic recombined with the surface-area-free
     # closed form of the optimal constant; (p-2) is kept inside the bracket so

@@ -16,7 +16,7 @@ manifold itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,14 +33,15 @@ from .extremals import psi
 from .params import CknParams, RegionClass, classify
 
 __all__ = [
-    "MinimizeConfig",
     "NoDescent",
     "NumericalFailure",
     "OnManifold",
     "QuotientReport",
     "estimate_cbe",
+    "gap_start",
     "minimize_quotient",
     "quotient",
+    "random_start",
 ]
 
 MANIFOLD_GUARD = 1e-8
@@ -62,23 +63,6 @@ class NoDescent(RuntimeError):
 
 class NumericalFailure(RuntimeError):
     """A result violated its guaranteed bound."""
-
-
-@dataclass(frozen=True)
-class MinimizeConfig:
-    """Start recipe and iteration cap.
-
-    ``start`` is one of ("gap", eps), ("two_bubble", s), ("random", seed).
-    """
-
-    start: tuple = ("gap", 0.05)
-    max_iterations: int = 80
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.start[0] == "gap" and not 0.0 < self.start[1] <= 0.2:
-            raise ValueError("gap-perturbation eps must lie in (0, 0.2]")
 
 
 @dataclass(frozen=True)
@@ -124,11 +108,6 @@ class _Objective:
     def __init__(self, model: CylinderModel):
         self.model = model
         self.p = model.params.p
-
-    def value(self, v: CylinderFunction):
-        numerator, projection = self.model.quotient_parts(v)
-        _require_off_manifold(projection)
-        return numerator / projection.distance_sq, projection
 
     def normalized(self, v: CylinderFunction) -> _Iterate:
         """Rescale ``v`` to unit L^{p+1} norm, from one pass over its samples."""
@@ -178,29 +157,23 @@ class _Objective:
         return self._numerator_grads(self._h1_grads(v), lp1_pow, lp1_grads)
 
 
-def _build_start(model: CylinderModel, config: MinimizeConfig) -> tuple[CylinderFunction, str]:
-    kind = config.start[0]
-    params = model.params
-    if kind == "gap":
-        eps = float(config.start[1])
-        region = classify(params).region
-        if region == RegionClass.REMAINING:
-            bump = model.rho10_function()
-            label = f"gap-perturbation rho10 eps={eps}"
-        else:
-            bump = model.rho02_function()
-            label = f"gap-perturbation rho02 eps={eps}"
-        norm = math.sqrt(model.h1_inner(bump, bump))
-        v = combine([1.0, eps * math.sqrt(model.energy_psi) / norm], [model.psi_function(), bump])
-        return v, label
-    if kind == "two_bubble":
-        s = float(config.start[1])
-        return model.two_bubble(s), f"two-bubble s={s:.4g}"
-    if kind == "random":
-        seed = int(config.start[1])
-        noise = model.random_mperp(seed, RANDOM_AMPLITUDE * math.sqrt(model.energy_psi))
-        return combine([1.0, 1.0], [model.psi_function(), noise]), f"random seed={seed}"
-    raise ValueError(f"unknown start recipe {kind!r}")
+def gap_start(model: CylinderModel, eps: float) -> tuple[str, CylinderFunction]:
+    """Psi plus the gap eigenfunction (rho10 in the Remaining region, rho02
+    elsewhere) scaled to eps |Psi|_H1, with its start label."""
+    if classify(model.params).region == RegionClass.REMAINING:
+        name, bump = "rho10", model.rho10_function()
+    else:
+        name, bump = "rho02", model.rho02_function()
+    norm = math.sqrt(model.h1_inner(bump, bump))
+    v = combine([1.0, eps * math.sqrt(model.energy_psi) / norm], [model.psi_function(), bump])
+    return f"gap-perturbation {name} eps={eps}", v
+
+
+def random_start(model: CylinderModel, seed: int) -> tuple[str, CylinderFunction]:
+    """Psi plus a seeded smooth perturbation orthogonal to the soft modes, of
+    H1 size RANDOM_AMPLITUDE |Psi|_H1, with its start label."""
+    noise = model.random_mperp(seed, RANDOM_AMPLITUDE * math.sqrt(model.energy_psi))
+    return f"random seed={seed}", combine([1.0, 1.0], [model.psi_function(), noise])
 
 
 def quotient(v: CylinderFunction) -> QuotientReport:
@@ -209,9 +182,9 @@ def quotient(v: CylinderFunction) -> QuotientReport:
     Raises OnManifold when the distance is numerically zero relative to the
     function's energy.
     """
-    model = model_for(v.params)
-    objective = _Objective(model)
-    value, projection = objective.value(v)
+    numerator, projection = model_for(v.params).quotient_parts(v)
+    _require_off_manifold(projection)
+    value = numerator / projection.distance_sq
     return QuotientReport(
         value=value,
         distance_sq=projection.distance_sq,
@@ -223,52 +196,40 @@ def quotient(v: CylinderFunction) -> QuotientReport:
     )
 
 
-def minimize_quotient(
-    config: MinimizeConfig,
-    params: CknParams,
-    start_function: CylinderFunction | None = None,
-) -> QuotientReport:
-    """Backtracking gradient descent on Q with the L^{p+1} normalization.
+def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientReport:
+    """Backtracking gradient descent on Q with the L^{p+1} normalization,
+    from ``start`` on the model of its parameter point.
 
     Steps that collapse onto the manifold guard are rejected with the step
-    halved; the search terminates at the gradient tolerance or the iteration
-    cap and returns the best quotient seen.  ``start_function`` overrides the
-    configured start recipe with an explicit iterate.
+    halved; the search terminates at the gradient tolerance or after
+    ``max_iterations`` steps and returns the best quotient seen, labelled
+    ``start="explicit"``.
     """
-    model = model_for(params)
+    model = model_for(start.params)
     objective = _Objective(model)
-    if start_function is not None:
-        v, label = start_function, "explicit"
-    else:
-        v, label = _build_start(model, config)
-    it = objective.normalized(v)
+    it = objective.normalized(start)
     _require_off_manifold(it.projection)
-    best_q = it.value
-    trace = [(0, best_q)]
-    best_report = (best_q, it.projection)
+    best = it
+    trace = [(0, it.value)]
     step = INITIAL_STEP
     grad_norm = math.nan
     iterations = 0
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         grads = objective.gradient(it)
         q = it.value
         grad_norm = math.sqrt(sum(model.h * float(np.dot(g, g)) for g in grads))
         if grad_norm <= GRADIENT_TOL * max(1.0, abs(q)):
             break
         direction = model.from_rows(it.v.degrees, -grads)
-        accepted = False
         alpha = step
         for _ in range(30):
             candidate = objective.normalized(combine([1.0, alpha], [it.v, direction]))
-            if candidate.projection.distance_sq < MANIFOLD_GUARD * candidate.projection.h1_sq:
-                alpha *= 0.5  # re-project away from the manifold
-                continue
-            q_cand = candidate.value
-            if q_cand <= q - 1e-12 * abs(q):
-                accepted = True
+            # a step inside the manifold guard is halved like one that does not descend
+            off = candidate.projection.distance_sq >= MANIFOLD_GUARD * candidate.projection.h1_sq
+            if off and candidate.value <= q - 1e-12 * abs(q):
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             if iteration == 1:
                 raise NoDescent("line search failed at the first iterate")
             break
@@ -276,19 +237,19 @@ def minimize_quotient(
         it = candidate
         step = min(INITIAL_STEP, 2.0 * alpha)
         iterations = iteration
-        trace.append((iteration, q_cand))
-        if q_cand < best_report[0]:
-            best_report = (q_cand, candidate.projection)
-    value, projection = best_report
+        trace.append((iteration, it.value))
+        if it.value < best.value:
+            best = it
+    projection = best.projection
     return QuotientReport(
-        value=value,
+        value=best.value,
         distance_sq=projection.distance_sq,
         shift=projection.shift,
-        bounds=bounds_report(params),
+        bounds=bounds_report(start.params),
         iterations=iterations,
         gradient_norm=grad_norm,
         trace=tuple(trace),
-        start=label,
+        start="explicit",
     )
 
 
@@ -298,37 +259,32 @@ def estimate_cbe(
     seed: int = 0,
     max_iterations: int = 60,
 ) -> QuotientReport:
-    """Multi-start quotient minimization; returns the best report.
+    """Multi-start quotient minimization; returns the best report, labelled
+    with its start.
 
-    The recipe set follows the start menu: three gap-perturbation sizes, two
-    bubble separations, and ``starts`` seeded random perturbations.  The exit
-    value must respect 0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a
-    NumericalFailure is raised.
+    The start menu is a list of (label, function) pairs: three gap-perturbation
+    sizes, two bubble separations and ``starts`` seeded random perturbations,
+    each descended by ``minimize_quotient``; a start that raises NoDescent or
+    OnManifold is dropped.  The exit value must respect
+    0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a NumericalFailure is raised.
     """
-    gamma = params.gamma
-    recipes: list[tuple] = [
-        ("gap", 0.02),
-        ("gap", 0.05),
-        ("gap", 0.1),
-        ("two_bubble", 8.0 / gamma),
-        ("two_bubble", 10.0 / gamma),
-    ]
-    recipes += [("random", seed + k) for k in range(starts)]
+    model = model_for(params)
+    menu = [gap_start(model, eps) for eps in (0.02, 0.05, 0.1)]
+    separations = (8.0 / params.gamma, 10.0 / params.gamma)
+    menu += [(f"two-bubble s={s:.4g}", model.two_bubble(s)) for s in separations]
+    menu += [random_start(model, seed + k) for k in range(starts)]
     best: QuotientReport | None = None
-    for recipe in recipes:
-        config = MinimizeConfig(start=recipe, max_iterations=max_iterations)
+    for label, start in menu:
         try:
-            report = minimize_quotient(config, params)
+            report = minimize_quotient(start, max_iterations)
         except (NoDescent, OnManifold):
             continue
         if best is None or report.value < best.value:
-            best = report
+            best = replace(report, start=label)
     if best is None:
         raise NumericalFailure("no start produced a usable minimization")
     bounds = best.bounds
     ceiling = min(bounds.bound_gap, bounds.bound_two_bubble) + 1e-3
     if not 0.0 < best.value <= ceiling:
-        raise NumericalFailure(
-            f"best quotient {best.value} escaped its bound {ceiling}"
-        )
+        raise NumericalFailure(f"best quotient {best.value} escaped its bound {ceiling}")
     return best

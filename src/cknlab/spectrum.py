@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .extremals import bubble_half_width, profile, psi, psi_prime, psi_second
+from .extremals import bubble_half_width
 from .params import CknParams, RegionClass, classify
 from .specfun import integrate_line, jacobi_polynomial, log_cosh
 
@@ -193,6 +193,11 @@ def eigenfunction(params: CknParams, i: int, j: int, t):
     return _eigenfunction_raw(params, i, j, t) / _eigenfunction_norm(params, i, j)
 
 
+def _unit_envelope(params: CknParams, t):
+    """cosh(gamma t)^(-2/(p-1)), the bubble Psi over its amplitude."""
+    return np.exp(-(2.0 / (params.p - 1.0)) * log_cosh(params.gamma * t))
+
+
 def rho_02(params: CknParams, t):
     """Second radial eigenfunction in its explicit normalization:
 
@@ -202,7 +207,7 @@ def rho_02(params: CknParams, t):
     p, g = params.p, params.gamma
     t = np.asarray(t, dtype=float)
     sech_sq = 1.0 / np.cosh(g * t) ** 2
-    envelope = np.exp(-(2.0 / (p - 1.0)) * log_cosh(g * t))
+    envelope = _unit_envelope(params, t)
     return p * envelope / (4.0 * (p - 1.0) ** 2) * (4.0 * (p + 1.0) - (6.0 * p + 2.0) * sech_sq)
 
 
@@ -212,7 +217,7 @@ def rho_02_prime(params: CknParams, t):
     t = np.asarray(t, dtype=float)
     th = np.tanh(g * t)
     sech_sq = 1.0 - th * th
-    envelope = np.exp(-(2.0 / (p - 1.0)) * log_cosh(g * t))
+    envelope = _unit_envelope(params, t)
     bracket = 4.0 * (p + 1.0) - (6.0 * p + 2.0) * sech_sq
     d_envelope = -(2.0 * g / (p - 1.0)) * th * envelope
     d_bracket = (6.0 * p + 2.0) * 2.0 * g * th * sech_sq
@@ -255,11 +260,14 @@ class OrthogonalityReport:
 def orthogonality_check(params: CknParams) -> OrthogonalityReport:
     tau0 = params.tau(0)
     half = bubble_half_width(params)
-    amp = profile(params).amplitude
-    # the ratios are scale-free; Psi/amplitude keeps every integrand of unit
-    # scale, so quad's absolute tolerance cannot swamp it
+    d, gamma = params.ac_minus_a, params.gamma
+    # the ratios are scale-free, so the bubble terms are Psi, Psi', Psi'' over
+    # the amplitude: unit-scale integrands that quad's absolute tolerance cannot
+    # swamp, and finite where the amplitude itself underflows
     rho = (lambda t: rho_02(params, t), lambda t: rho_02_prime(params, t))
-    bubble = [lambda t, f=f: f(params, t) / amp for f in (psi, psi_prime, psi_second)]
+    factors = (lambda th: 1.0, lambda th: -d * th,
+               lambda th: d * d * th * th - d * gamma * (1.0 - th * th))
+    bubble = [lambda t, f=f: f(np.tanh(gamma * t)) * _unit_envelope(params, t) for f in factors]
 
     def ip(u, v) -> float:
         (f, fp), (g, gp) = u, v

@@ -48,6 +48,15 @@ def test_cylinder_function_validates_its_layout(params_case2):
                 array[0, 0] = 1.0
 
 
+def test_cylinder_functions_compare_by_identity(params_case2):
+    # array fields have no single truth value, so equality is identity
+    model = model_for(params_case2)
+    v, w = model.psi_function(), model.psi_function()
+    assert (v == v) is True
+    assert (v == w) is False
+    assert len({v, w, v}) == 2
+
+
 def test_array_layout_matches_the_per_degree_loop(params_case2, rng):
     # batched FFTs and row updates do the per-degree arithmetic unchanged, so
     # the per-degree loop is an exact reference

@@ -3,13 +3,14 @@ import pytest
 
 from cknlab.cylinder import combine, model_for, scale
 from cknlab.minimizer import (
-    MinimizeConfig,
     NumericalFailure,
     OnManifold,
     _Objective,
     estimate_cbe,
+    gap_start,
     minimize_quotient,
     quotient,
+    random_start,
 )
 from cknlab.params import make_params
 from cknlab.spectrum import spectral_gap
@@ -54,7 +55,6 @@ def test_numerator_gradient_matches_finite_differences(params_case2, rng):
         )
 
     # five iterates: the start plus descent snapshots
-    config = MinimizeConfig(start=("gap", 0.05), max_iterations=4)
     iterates = [combine([1.0, 0.05, 0.02], [model.psi_function(), model.rho02_function(), model.rho10_function()])]
     iterates.append(combine([1.0, 0.1], [model.psi_function(), model.rho02_function()]))
     iterates.append(combine([1.0, 0.2, -0.05], [model.psi_function(), model.rho02_function(), model.rho10_function()]))
@@ -153,7 +153,7 @@ def test_numerator_gradient_rows_follow_degrees(params_case2, rng, layout):
 
 
 def test_descent_trace_is_monotone(params_case2):
-    report = minimize_quotient(MinimizeConfig(start=("gap", 0.05), max_iterations=30), params_case2)
+    report = minimize_quotient(gap_start(model_for(params_case2), 0.05)[1], 30)
     values = [q for _, q in report.trace]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
     assert report.value <= values[0]
@@ -166,45 +166,36 @@ def test_minimize_scaling_invariance(params_case2):
     # loose full-horizon bound guards against genuine scale leakage
     model = model_for(params_case2)
     v = combine([1.0, 0.05], [model.psi_function(), model.rho02_function()])
-    short = MinimizeConfig(start=("gap", 0.05), max_iterations=3)
-    first = minimize_quotient(short, params_case2, start_function=v)
-    second = minimize_quotient(short, params_case2, start_function=scale(v, 5.0))
+    first = minimize_quotient(v, 3)
+    second = minimize_quotient(scale(v, 5.0), 3)
     assert first.value == pytest.approx(second.value, abs=1e-8)
-    long = MinimizeConfig(start=("gap", 0.05), max_iterations=30)
-    first_long = minimize_quotient(long, params_case2, start_function=v)
-    second_long = minimize_quotient(long, params_case2, start_function=scale(v, 5.0))
+    first_long = minimize_quotient(v, 30)
+    second_long = minimize_quotient(scale(v, 5.0), 30)
     assert first_long.value == pytest.approx(second_long.value, abs=1e-4)
 
 
 def test_minimize_deterministic_under_seed(params_case2):
-    config = MinimizeConfig(start=("random", 11), max_iterations=8)
-    first = minimize_quotient(config, params_case2)
-    second = minimize_quotient(config, params_case2)
+    model = model_for(params_case2)
+    first = minimize_quotient(random_start(model, 11)[1], 8)
+    second = minimize_quotient(random_start(model, 11)[1], 8)
     assert first.trace == second.trace
     assert first.value == second.value
 
 
 def test_minimize_case2_gap_start(params_case2):
-    report = minimize_quotient(
-        MinimizeConfig(start=("gap", 0.05), max_iterations=60), params_case2
-    )
+    report = minimize_quotient(gap_start(model_for(params_case2), 0.05)[1], 60)
     gap = spectral_gap(params_case2).lambda_star
     assert 0.0 < report.value <= gap + 1e-3
 
 
 def test_minimize_two_bubble_start(params_case2):
-    report = minimize_quotient(
-        MinimizeConfig(start=("two_bubble", 10.0 / params_case2.gamma), max_iterations=40),
-        params_case2,
-    )
+    report = minimize_quotient(model_for(params_case2).two_bubble(10.0 / params_case2.gamma), 40)
     bound = 2.0 - 2.0 ** (2.0 / (params_case2.p + 1.0))
     assert report.value <= bound
 
 
 def test_minimize_remaining_region_stays_above_gap(params_remaining):
-    report = minimize_quotient(
-        MinimizeConfig(start=("gap", 0.05), max_iterations=60), params_remaining
-    )
+    report = minimize_quotient(gap_start(model_for(params_remaining), 0.05)[1], 60)
     gap = spectral_gap(params_remaining).lambda_star
     values = [q for _, q in report.trace]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))

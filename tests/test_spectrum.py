@@ -227,8 +227,9 @@ def test_rho10_shape(params_remaining):
 def test_orthogonality_report(params_case2):
     # near p -> 1 the bubble core is wider than a window sized from its tail
     # decay, and Psi itself is tiny (amplitude 9e-64 at (3, 0.36788, 1.34732))
+    # or underflows to 0 (at (4, 0.2, 1.1995))
     near_edge = [(7, -0.399, 0.5293), (3, 0.36788, 1.34732), (4, 0.2, 1.19),
-                 (3, -1.284, -0.2886), (4, 0.2, 1.198)]
+                 (3, -1.284, -0.2886), (4, 0.2, 1.198), (4, 0.2, 1.1995)]
     for params in [params_case2] + [make_params(*point) for point in near_edge]:
         report = orthogonality_check(params)
         assert report.passed
