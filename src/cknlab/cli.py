@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from typing import Any
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from . import energy, minimizer, spectrum
 from .cylinder import SearchFailure
-from .eig_oracle import ConvergenceFailure
 from .params import (
     CknParams,
     DegenerateBoundary,
@@ -58,7 +56,6 @@ NUMERICAL_ERRORS = (
     minimizer.NumericalFailure,
     minimizer.NoDescent,
     minimizer.OnManifold,
-    ConvergenceFailure,
     SearchFailure,
     ArithmeticError,
 )
@@ -335,6 +332,8 @@ def _cmd_sweep(args) -> int:
 
     workers = int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 1)
     if workers > 1 and len(points) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point_row, points, chunksize=8))
     else:

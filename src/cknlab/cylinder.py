@@ -14,8 +14,8 @@ Axis derivatives are spectral (FFT on the periodic extension; every profile
 in scope decays far below roundoff at the walls), so the quadratic form is
 exact to machine precision for smooth profiles while remaining an explicit
 quadratic in the samples with an exact gradient.  The L^{p+1} norm needs a
-genuine 2D quadrature (uniform rule along the axis, Gauss-Jacobi in the polar
-angle).
+genuine 2D quadrature (uniform rule along the axis, Gauss-Gegenbauer in the
+polar angle, built by Golub-Welsch).
 
 The squared distance to the manifold of scaled, translated bubbles is
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .extremals import GridSpec, default_grid, psi, psi_prime
 from .params import CknParams
@@ -53,7 +52,7 @@ __all__ = [
     "scale",
 ]
 
-# Gauss-Jacobi nodes in the polar angle
+# Gauss-Gegenbauer nodes in the polar angle
 ANGLE_NODES = 64
 # Newton refinement of the maximizing shift: step tolerance and iteration cap
 SHIFT_TOL = 1e-12
@@ -134,13 +133,28 @@ class ManifoldProjection:
 
 
 @lru_cache(maxsize=32)
+def _recurrence(n_dim: int) -> np.ndarray:
+    # b_0 = 0, b_1, ..., b_(ANGLE_NODES-1): the orthonormal polynomials of the
+    # weight (1-x^2)^alpha, alpha = (N-3)/2, satisfy x p_k = b_(k+1) p_(k+1) + b_k p_(k-1)
+    # with b_k^2 = k(k+2 alpha)/(4(k+alpha)^2-1); b_1^2 = 1/(2 alpha+3) cancels
+    # the factor 1+2 alpha, which makes that ratio 0/0 at N = 2
+    alpha = (n_dim - 3) / 2.0
+    k = np.arange(2.0, ANGLE_NODES)
+    b_sq = k * (k + 2.0 * alpha) / (4.0 * (k + alpha) ** 2 - 1.0)
+    return np.sqrt(np.concatenate(([0.0, 1.0 / (2.0 * alpha + 3.0)], b_sq)))
+
+
+@lru_cache(maxsize=32)
 def _angle_rule(n_dim: int):
     # integral over S^(N-1) of a zonal function g(cos phi):
-    # |S^(N-2)| * sum w_m g(x_m) with weight (1-x^2)^((N-3)/2)
+    # |S^(N-2)| * sum w_m g(x_m) with weight (1-x^2)^((N-3)/2); Golub-Welsch:
+    # the nodes are the eigenvalues of the Jacobi matrix, the weights mu_0 v_0^2
     alpha = (n_dim - 3) / 2.0
-    x, w = roots_jacobi(ANGLE_NODES, alpha, alpha)
+    off = _recurrence(n_dim)[1:]
+    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.exp(math.lgamma(0.5) + math.lgamma(alpha + 1.0) - math.lgamma(alpha + 1.5))
     prefactor = sphere_area(n_dim - 1) if n_dim >= 3 else 2.0
-    return x, w, prefactor
+    return x, mu0 * vectors[0] ** 2, prefactor
 
 
 class CylinderModel:
@@ -191,15 +205,10 @@ class CylinderModel:
     def harmonic_values(self, degree: int) -> np.ndarray:
         """Orthonormal zonal harmonic of the given degree at the angle nodes."""
         if degree not in self._harmonics:
-            x = self.angle_x
-            if degree == 0:
-                raw = np.ones_like(x)
-            elif self.params.N == 2:
-                raw = np.cos(degree * np.arccos(np.clip(x, -1.0, 1.0)))
-            else:
-                from scipy.special import eval_gegenbauer
-
-                raw = eval_gegenbauer(degree, (self.params.N - 2) / 2.0, x)
+            x, b = self.angle_x, _recurrence(self.params.N)
+            previous, raw = np.zeros_like(x), np.ones_like(x)
+            for k in range(degree):
+                previous, raw = raw, (x * raw - b[k] * previous) / b[k + 1]
             norm_sq = self.angle_prefactor * float(np.dot(self.angle_w, raw * raw))
             self._harmonics[degree] = raw / math.sqrt(norm_sq)
         return self._harmonics[degree]

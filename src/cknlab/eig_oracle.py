@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 
 from .extremals import GridSpec, bubble_half_width, default_grid, psi, psi_prime
 from .params import CknParams
@@ -90,6 +89,9 @@ def _lanczos(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` smallest eigenvalues, ascending, with unnormalized
     pencil eigenvectors x = A^{-1} W^{1/2} y as columns."""
+    # scipy loads on the first solve, so importing the package (as every CLI
+    # command does) does not pay for it
+    from scipy.linalg import cho_solve_banded, cholesky_banded
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     diag, weight, off = _assemble(params, i, grid)
@@ -200,6 +202,8 @@ def rayleigh_gap_check(params: CknParams) -> GapCheckReport:
     unconstrained mode-1 functions.  The smaller value is the discrete gap
     constant; the grid factor h cancels from every ratio.
     """
+    from scipy.linalg import eigh
+
     grid = solver_grid(params)
     t = grid.t()[1:-1]
     diag, weight, off = _assemble(params, 0, grid)

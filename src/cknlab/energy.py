@@ -175,6 +175,8 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     ``predicted_deficit_rate`` is the rate constant implied by the norm and
     distance expansions, 2 (2^(2/(p+1)) - 1) A0 / |Psi|_H1^2; the published
     display variant 2 A0 C^(2/(p-1)) is reported alongside for comparison.
+    ``deficit_rate`` is NaN where the decay factor exp(-2 gamma s/(p-1))
+    underflows to zero, as it does near p -> 1.
     """
     model = model_for(params)
     if not s < model.grid.half_width / 2.0:
@@ -201,7 +203,7 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
         bounds=bounds,
         a0=a0,
         deficit=deficit,
-        deficit_rate=deficit / decay,
+        deficit_rate=deficit / decay if decay > 0.0 else math.nan,
         predicted_deficit_rate=rate_derived,
         predicted_deficit_rate_display=rate_display,
         predicted_value=bounds.bound_two_bubble - rate_derived * decay,

@@ -261,6 +261,16 @@ def test_numerical_failure_exit_code(command):
     assert doc["error"]
 
 
+def test_energy_reports_null_deficit_rate_where_the_decay_underflows():
+    # p = 1.0195: exp(-2 gamma s/(p-1)) underflows at the default s = 10/gamma
+    code, out = run_cli(["energy", "4", "--", "-0.806146388113428", "0.174538323634756"])
+    assert code == 0, out
+    two_bubble = json.loads(out)["two_bubble"]
+    assert two_bubble["deficit_rate"] is None
+    assert math.isfinite(two_bubble["value"])
+    assert math.isfinite(two_bubble["distance_sq"])
+
+
 def test_search_failure_exit_code(monkeypatch):
     from cknlab import minimizer
     from cknlab.cylinder import SearchFailure
@@ -374,11 +384,18 @@ def test_non_finite_point_is_named(n_dim, point):
 def test_closed_form_commands_do_not_load_quadrature():
     script = (
         "import contextlib, io, sys\n"
+        "import cknlab\n"
         "from cknlab.cli import run_command\n"
-        "for command in ('region', 'spectrum', 'gap', 'bounds', 'energy', 'zhat'):\n"
+        "def scipy_modules():\n"
+        "    return sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "runs = [[c, '4', '0', '0.5'] for c in ('region', 'spectrum', 'gap', 'bounds', 'energy', 'zhat')]\n"
+        "runs.append(['minimize', '4', '0.5', '0.6', '--starts', '1', '--seed', '3'])\n"
+        "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert run_command([command, '4', '0', '0.5']) == 0\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "        assert run_command(argv) == 0, argv\n"
+        "    assert not scipy_modules(), (argv, scipy_modules())\n"
+        "print(cknlab.generalized_eigenvalues(cknlab.make_params(4, 0.0, 0.5), 0, 2)[0])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cknlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -386,4 +403,6 @@ def test_closed_form_commands_do_not_load_quadrature():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    # the oracle still solves, loading scipy on its first call
+    closed = cknlab.eigenvalue_closed(make_params(4, 0.0, 0.5), 0, 0).lam
+    assert float(result.stdout) == pytest.approx(closed, rel=1e-6)

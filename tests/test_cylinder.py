@@ -2,10 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer, roots_jacobi
 
-from cknlab.cylinder import CylinderFunction, GridMismatch, combine, model_for, scale
+from cknlab.cylinder import ANGLE_NODES, CylinderFunction, GridMismatch, _angle_rule, combine, model_for, scale
 from cknlab.energy import rho02_h1_norm_sq
 from cknlab.extremals import psi_norms
+from cknlab.params import felli_schneider, make_params
+
+
+@pytest.mark.parametrize("n_dim", range(2, 9))
+def test_angle_rule_matches_gauss_jacobi(n_dim):
+    alpha = (n_dim - 3) / 2.0
+    x_ref, w_ref = roots_jacobi(ANGLE_NODES, alpha, alpha)
+    x, w, _ = _angle_rule(n_dim)
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("n_dim", range(2, 9))
+def test_harmonics_match_gegenbauer(n_dim):
+    model = model_for(make_params(n_dim, -0.5, (felli_schneider(n_dim, -0.5) + 0.5) / 2.0))
+    x = model.angle_x
+    for degree in range(7):
+        if n_dim == 2:
+            raw = np.cos(degree * np.arccos(np.clip(x, -1.0, 1.0)))
+        else:
+            raw = eval_gegenbauer(degree, (n_dim - 2) / 2.0, x)
+        reference = raw / math.sqrt(model.angle_prefactor * float(np.dot(model.angle_w, raw * raw)))
+        np.testing.assert_allclose(model.harmonic_values(degree), reference, rtol=0.0, atol=1e-13)
 
 
 def test_lp1_norm_matches_closed_form(params_case2):
