@@ -25,6 +25,7 @@ the one that drives the actual quotient expansion).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .cylinder import combine, model_for
@@ -150,6 +151,13 @@ def a0_coefficient(params: CknParams) -> float:
     return a0
 
 
+def _quotient_value(numerator: float, dist_sq: float) -> float:
+    """numerator / dist_sq, or NaN where the computed squared distance is not
+    positive: near p -> 1 the cancellation in |v|_H1^2 - kappa <v, Psi>^2 can
+    leave it at or below zero, and the quotient is then undefined."""
+    return numerator / dist_sq if 0.0 < dist_sq < math.inf else math.nan
+
+
 @dataclass(frozen=True)
 class TwoBubbleReport:
     """Quotient at a two-bubble test function with its predicted expansion."""
@@ -176,7 +184,7 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     distance expansions, 2 (2^(2/(p+1)) - 1) A0 / |Psi|_H1^2; the published
     display variant 2 A0 C^(2/(p-1)) is reported alongside for comparison.
     ``deficit_rate`` is NaN where the decay factor exp(-2 gamma s/(p-1))
-    underflows to zero, as it does near p -> 1.
+    underflows below the normal double range, as it does near p -> 1.
     """
     model = model_for(params)
     if not s < model.grid.half_width / 2.0:
@@ -185,7 +193,7 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     v = model.two_bubble(s)
     numerator, projection = model.quotient_parts(v)
     dist_sq = projection.distance_sq
-    value = numerator / dist_sq
+    value = _quotient_value(numerator, dist_sq)
     bounds = bounds_report(params)
     a0 = a0_coefficient(params)
     energy = psi_norms(params).h1_sq
@@ -203,7 +211,7 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
         bounds=bounds,
         a0=a0,
         deficit=deficit,
-        deficit_rate=deficit / decay if decay > 0.0 else math.nan,
+        deficit_rate=deficit / decay if decay >= sys.float_info.min else math.nan,
         predicted_deficit_rate=rate_derived,
         predicted_deficit_rate_display=rate_display,
         predicted_value=bounds.bound_two_bubble - rate_derived * decay,
@@ -230,7 +238,8 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
 
     The epsilon -> 0 limit is the radial gap value (lambda_02 - 1)/lambda_02,
     which equals the gap constant in CaseI/CaseII; the slope is
-    p(p-1)/3 * <Psi^(p-2), rho_02^3> / |rho_02|_H1^2.
+    p(p-1)/3 * <Psi^(p-2), rho_02^3> / |rho_02|_H1^2.  ``value`` is NaN
+    where the computed squared distance is not positive.
     """
     if not 0.0 < eps <= 0.2:
         raise ValueError("eps must lie in (0, 0.2]")
@@ -239,7 +248,7 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
     v = combine([1.0, eps], [model.psi_function(), model.rho02_function()])
     numerator, projection = model.quotient_parts(v)
     dist_sq = projection.distance_sq
-    value = numerator / dist_sq
+    value = _quotient_value(numerator, dist_sq)
     lam02 = eigenvalue_closed(params, 0, 2).lam
     limit = (lam02 - 1.0) / lam02
     slope = p * (p - 1.0) / 3.0 * third_order_coefficient(params) / rho02_h1_norm_sq(params)

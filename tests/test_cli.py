@@ -261,14 +261,28 @@ def test_numerical_failure_exit_code(command):
     assert doc["error"]
 
 
-def test_energy_reports_null_deficit_rate_where_the_decay_underflows():
-    # p = 1.0195: exp(-2 gamma s/(p-1)) underflows at the default s = 10/gamma
+@pytest.mark.parametrize("b", ["0.98", "0.9728"])
+def test_energy_reports_null_deficit_rate_where_the_decay_underflows(b):
+    # exp(-2 gamma s/(p-1)) at the default s = 10/gamma is 0.0 at b = 0.98
+    # (p = 1.0202) and subnormal at b = 0.9728 (p = 1.0276)
+    code, out = run_cli(["energy", "4", "0", b])
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["two_bubble"]["deficit_rate"] is None
+    for field in ("two_bubble", "gap_perturbation"):
+        assert math.isfinite(doc[field]["value"])
+        assert doc[field]["distance_sq"] > 0.0
+
+
+def test_energy_reports_null_quotient_where_the_distance_is_not_positive():
+    # p = 1.0195: |v|^2 - kappa <v, Psi>^2 cancels below zero for Psi + eps rho_02
     code, out = run_cli(["energy", "4", "--", "-0.806146388113428", "0.174538323634756"])
     assert code == 0, out
-    two_bubble = json.loads(out)["two_bubble"]
-    assert two_bubble["deficit_rate"] is None
-    assert math.isfinite(two_bubble["value"])
-    assert math.isfinite(two_bubble["distance_sq"])
+    doc = json.loads(out)
+    assert doc["two_bubble"]["deficit_rate"] is None
+    assert math.isfinite(doc["two_bubble"]["value"])
+    assert doc["gap_perturbation"]["distance_sq"] <= 0.0
+    assert doc["gap_perturbation"]["value"] is None
 
 
 def test_search_failure_exit_code(monkeypatch):
