@@ -54,6 +54,8 @@ __all__ = [
 
 # Gauss-Gegenbauer nodes in the polar angle
 ANGLE_NODES = 64
+# tensor-grid rows per block of samples in lp1_pow (256 to 1024 time alike)
+LP1_BLOCK_ROWS = 512
 # Newton refinement of the maximizing shift: step tolerance and iteration cap
 SHIFT_TOL = 1e-12
 SHIFT_ITERATIONS = 100
@@ -294,13 +296,19 @@ class CylinderModel:
             weight = self.area ** (1.0 - (p + 1.0) / 2.0) * self.h
         else:
             harmonics = np.stack([self.harmonic_values(d) for d in v.degrees])
-            values = profiles @ harmonics  # v(t_k, phi_m) on the tensor grid
-            # worked in place: a fresh temporary of this size costs more to
-            # allocate than the arithmetic on it
-            core = np.abs(values)
-            np.power(core, p - 1.0, out=core)
-            core *= values
-            # chain rule through v(t_k, phi_m) = sum_d f_d(t_k) Y_d(phi_m)
+            # the samples v(t_k, phi_m) go in cache-sized row blocks, so that the
+            # core |v|^(p-1) v is the one full-size array (a fresh one costs more
+            # in page faults than its arithmetic); a sample is a dot over the
+            # degrees and rounds alike in any block
+            core = np.empty((len(profiles), len(self.angle_w)))
+            for start in range(0, len(core), LP1_BLOCK_ROWS):
+                block = core[start : start + LP1_BLOCK_ROWS]
+                values = profiles[start : start + LP1_BLOCK_ROWS] @ harmonics
+                np.abs(values, out=block)
+                np.power(block, p - 1.0, out=block)
+                block *= values
+            # chain rule through v(t_k, phi_m) = sum_d f_d(t_k) Y_d(phi_m), over
+            # all rows at once: blocked, the 64-node sums would round otherwise
             per_degree = core @ (self.angle_w[:, None] * harmonics.T)
             weight = self.angle_prefactor * self.h
         value = weight * float(np.sum(profiles * per_degree))
@@ -308,9 +316,6 @@ class CylinderModel:
             return value
         per_degree *= weight * (p + 1.0)
         return value, np.ascontiguousarray(per_degree.T)
-
-    def lp1_norm(self, v: CylinderFunction) -> float:
-        return self.lp1_pow(v) ** (1.0 / (self.params.p + 1.0))
 
     def quotient_parts(
         self, v: CylinderFunction, lp1_pow: float | None = None

@@ -52,6 +52,9 @@ __all__ = [
     "zhat",
 ]
 
+# predicted two-bubble deficits under this many eps * bound are rounding noise
+DEFICIT_NOISE = 1e3
+
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -183,8 +186,8 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     ``predicted_deficit_rate`` is the rate constant implied by the norm and
     distance expansions, 2 (2^(2/(p+1)) - 1) A0 / |Psi|_H1^2; the published
     display variant 2 A0 C^(2/(p-1)) is reported alongside for comparison.
-    ``deficit_rate`` is NaN where the decay factor exp(-2 gamma s/(p-1))
-    underflows below the normal double range, as it does near p -> 1.
+    ``deficit_rate`` is NaN where the predicted deficit, that rate times the
+    decay exp(-2 gamma s/(p-1)), is rounding noise, as it is near p -> 1.
     """
     model = model_for(params)
     if not s < model.grid.half_width / 2.0:
@@ -202,6 +205,7 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     rate_display = 2.0 * a0 * c_inv ** (-2.0 / (p - 1.0))
     decay = math.exp(-2.0 * params.gamma * s / (p - 1.0))
     deficit = bounds.bound_two_bubble - value
+    noise = DEFICIT_NOISE * sys.float_info.epsilon * bounds.bound_two_bubble
     return TwoBubbleReport(
         s=s,
         value=value,
@@ -211,7 +215,7 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
         bounds=bounds,
         a0=a0,
         deficit=deficit,
-        deficit_rate=deficit / decay if decay >= sys.float_info.min else math.nan,
+        deficit_rate=deficit / decay if rate_derived * decay >= noise else math.nan,
         predicted_deficit_rate=rate_derived,
         predicted_deficit_rate_display=rate_display,
         predicted_value=bounds.bound_two_bubble - rate_derived * decay,

@@ -39,7 +39,6 @@ __all__ = [
     "psi",
     "psi_norms",
     "psi_prime",
-    "psi_second",
 ]
 
 
@@ -111,14 +110,6 @@ def psi(params: CknParams, t):
 def psi_prime(params: CknParams, t):
     """d/dt Psi(t) = -(a_c-a) tanh(gamma t) Psi(t)."""
     return -params.ac_minus_a * np.tanh(params.gamma * t) * psi(params, t)
-
-
-def psi_second(params: CknParams, t):
-    """Second derivative of Psi, in closed form."""
-    d, g = params.ac_minus_a, params.gamma
-    th = np.tanh(g * t)
-    sech_sq = 1.0 - th * th
-    return (d * d * th * th - d * g * sech_sq) * psi(params, t)
 
 
 def bubble_w(params: CknParams, x_radius):

@@ -7,7 +7,8 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from cknlab.extremals import bubble_half_width, profile
+from cknlab.cylinder import CylinderFunction, CylinderModel
+from cknlab.extremals import bubble_half_width, profile, psi
 from cknlab.params import CknParams
 from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
 
@@ -78,3 +79,30 @@ def jacobi_mode_h1_norm_sq(params: CknParams, i: int, j: int) -> float:
     half = bubble_half_width(params)
     value, _ = integrate.quad(integrand, -half, half, epsabs=0.0, epsrel=1e-13, limit=400)
     return value
+
+
+def psi_second(params: CknParams, t):
+    """Second derivative of Psi, in closed form."""
+    d, g = params.ac_minus_a, params.gamma
+    th = np.tanh(g * t)
+    sech_sq = 1.0 - th * th
+    return (d * d * th * th - d * g * sech_sq) * psi(params, t)
+
+
+def lp1_norm(model: CylinderModel, v: CylinderFunction) -> float:
+    """|v|_{p+1} over the cylinder."""
+    return model.lp1_pow(v) ** (1.0 / (model.params.p + 1.0))
+
+
+def tensor_lp1_pow(model: CylinderModel, v: CylinderFunction) -> tuple[float, np.ndarray]:
+    """int |v|^(p+1) and its per-degree sample gradient for a function with
+    any degree, from the samples on the whole (t, angle) tensor grid at once."""
+    p = model.params.p
+    profiles = v.values.T
+    harmonics = np.stack([model.harmonic_values(d) for d in v.degrees])
+    values = profiles @ harmonics
+    core = np.abs(values) ** (p - 1.0) * values
+    per_degree = core @ (model.angle_w[:, None] * harmonics.T)
+    weight = model.angle_prefactor * model.h
+    value = weight * float(np.sum(profiles * per_degree))
+    return value, weight * (p + 1.0) * per_degree.T

@@ -274,6 +274,17 @@ def test_energy_reports_null_deficit_rate_where_the_decay_underflows(b):
         assert doc[field]["distance_sq"] > 0.0
 
 
+def test_energy_reports_null_deficit_rate_below_the_rounding():
+    # p = 1.0294: the decay factor is normal, but the predicted deficit
+    # (about 1e-255) is far below the rounding of the quotient
+    code, out = run_cli(["energy", "4", "0", "0.971"])
+    assert code == 0, out
+    report = json.loads(out)["two_bubble"]
+    assert report["deficit_rate"] is None
+    assert abs(report["deficit"]) < 1e-14
+    assert report["predicted_deficit_rate"] > 1e40
+
+
 def test_energy_reports_null_quotient_where_the_distance_is_not_positive():
     # p = 1.0195: |v|^2 - kappa <v, Psi>^2 cancels below zero for Psi + eps rho_02
     code, out = run_cli(["energy", "4", "--", "-0.806146388113428", "0.174538323634756"])

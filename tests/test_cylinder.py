@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cknlab.cylinder import ANGLE_NODES, CylinderFunction, GridMismatch, _angle_
 from cknlab.energy import rho02_h1_norm_sq
 from cknlab.extremals import psi_norms
 from cknlab.params import felli_schneider, make_params
+from tests.oracles import lp1_norm, tensor_lp1_pow
 
 
 @pytest.mark.parametrize("n_dim", range(2, 9))
@@ -36,7 +38,50 @@ def test_lp1_norm_matches_closed_form(params_case2):
     model = model_for(params_case2)
     closed = psi_norms(params_case2)
     assert model.lp1_pow(model.psi_function()) == pytest.approx(closed.lp1_pow, rel=1e-8)
-    assert model.lp1_norm(model.psi_function()) == pytest.approx(closed.lp1, rel=1e-8)
+    assert lp1_norm(model, model.psi_function()) == pytest.approx(closed.lp1, rel=1e-8)
+
+
+def _bubble_plus_noise(model, degrees, seed):
+    """Psi in degree 0, where present, plus a smooth random wave in every degree."""
+    rng = np.random.default_rng(seed)
+    envelope = np.exp(-((model.t / (model.grid.half_width / 3.0)) ** 2))
+    amplitudes = rng.standard_normal((len(degrees), 1)) * model.sqrt_area * model.psi_values.max()
+    waves = np.cos(rng.uniform(1.0, 8.0, (len(degrees), 1)) * model.t / model.grid.half_width)
+    rows = amplitudes * envelope * waves
+    if 0 in degrees:
+        rows[0] += model.sqrt_area * model.psi_values
+    return model.from_rows(degrees, rows)
+
+
+@pytest.mark.parametrize("point", [(2, -0.5, 0.3), (3, -0.4, 0.2), (4, 0.0, 0.5), (7, 0.0, 0.5)])
+def test_lp1_pow_matches_the_tensor_grid_formula(point):
+    # 1e-13 rather than bit equality: the rounding of the angle contraction
+    # depends on the BLAS build; gradients are compared to their largest entry
+    model = model_for(make_params(*point))
+    for seed, degrees in enumerate([(0, 1), (0, 1, 2), (1,), (0, 3)]):
+        v = _bubble_plus_noise(model, degrees, seed)
+        value, grads = model.lp1_pow(v, with_gradient=True)
+        ref_value, ref_grads = tensor_lp1_pow(model, v)
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
+        assert model.lp1_pow(v) == value
+        largest = np.max(np.abs(ref_grads))
+        np.testing.assert_allclose(grads, ref_grads, rtol=0.0, atol=1e-13 * largest)
+
+
+def test_lp1_pow_keeps_one_full_size_array(params_remaining):
+    # the samples are blocked, so a 2D call holds one (nodes x angle nodes)
+    # array plus small temporaries; forming all samples at once needs two
+    model = model_for(params_remaining)
+    v = _bubble_plus_noise(model, (0, 1), 0)
+    model.lp1_pow(v, with_gradient=True)  # harmonics cached outside the trace
+    full = model.grid.nodes * ANGLE_NODES * 8
+    tracemalloc.start()
+    try:
+        model.lp1_pow(v, with_gradient=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * full
 
 
 def test_h1_orthogonality_of_soft_modes(params_case2):

@@ -13,12 +13,11 @@ from cknlab.extremals import (
     psi,
     psi_norms,
     psi_prime,
-    psi_second,
 )
 from cknlab.params import make_params
 from cknlab.specfun import sphere_area
 from tests.conftest import sample_valid_params
-from tests.oracles import emden_fowler_image
+from tests.oracles import emden_fowler_image, psi_second
 
 
 def h1_quadrature(params, f, fp, half=None):
