@@ -33,7 +33,7 @@ from .energy import (
     two_bubble_quotient,
     zhat,
 )
-from .minimizer import estimate_cbe, gap_start, minimize_quotient, quotient, random_start
+from .minimizer import dip_start, estimate_cbe, gap_start, minimize_quotient, quotient, random_start
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,7 @@ __all__ = [
     "bubble_w",
     "classify",
     "curve_constants",
+    "dip_start",
     "eigenvalue_closed",
     "estimate_cbe",
     "fbar",

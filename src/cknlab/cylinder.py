@@ -171,6 +171,7 @@ class CylinderModel:
         self.sqrt_area = math.sqrt(self.area)
         self.angle_x, self.angle_w, self.angle_prefactor = _angle_rule(params.N)
         self._harmonics: dict[int, np.ndarray] = {}
+        self._h1_multipliers: dict[int, np.ndarray] = {}
 
         # spectral differentiation wavenumbers (Nyquist zeroed keeps D real
         # and antisymmetric, hence D^T D = -D^2)
@@ -191,16 +192,20 @@ class CylinderModel:
         self.lp1_pow_psi = self.area * self.h * float(np.sum(self.psi_values ** (p + 1.0)))
         self.energy_psi = self.h1_inner(self.psi_function(), self.psi_function())
         self.c_inv = self.energy_psi / self.lp1_pow_psi ** (2.0 / (p + 1.0))
-        self.kappa = self.energy_psi / self.lp1_pow_psi**2
+        # divided twice: lp1_pow_psi squared leaves the double range near p -> 1
+        self.kappa = self.energy_psi / self.lp1_pow_psi / self.lp1_pow_psi
 
     def spectral_derivative(self, f: np.ndarray) -> np.ndarray:
         """Axis derivative of each row of ``f``."""
         return np.fft.irfft(1j * self.omega * np.fft.rfft(f), n=self.grid.nodes)
 
-    def spectral_neg_laplacian(self, f: np.ndarray) -> np.ndarray:
-        """D^T D f for each row of ``f``, the gradient kernel of the derivative
-        part of the H1 form."""
-        return np.fft.irfft(self.omega**2 * np.fft.rfft(f), n=self.grid.nodes)
+    def h1_multiplier(self, degrees: tuple[int, ...]) -> np.ndarray:
+        """omega^2 + tau_d, row k for ``degrees[k]``: the Fourier multiplier of
+        D^T D + tau_d, the operator of the degree-d part of the H1 form."""
+        for d in degrees:
+            if d not in self._h1_multipliers:
+                self._h1_multipliers[d] = self.omega**2 + self.params.tau(d)
+        return np.stack([self._h1_multipliers[d] for d in degrees])
 
     # ------------------------------------------------------------------
     # harmonics
@@ -376,7 +381,8 @@ class CylinderModel:
         """
         self._check(v)
         shifts, values = self._overlap_scan(v)
-        best = int(np.argmax(values * values))
+        # |overlap|, not its square, which overflows where |overlap| > ~1e154
+        best = int(np.argmax(np.abs(values)))
         edge = best <= 1 or best >= len(shifts) - 2
         lo = shifts[max(best - 1, 0)]
         hi = shifts[min(best + 1, len(shifts) - 1)]
@@ -385,7 +391,8 @@ class CylinderModel:
         last_step = hi - lo
         for _ in range(SHIFT_ITERATIONS):
             ov, d1, d2 = self._overlap_derivatives(f0, s_star)
-            if not math.isfinite(ov * d1 * d2):
+            # each factor, not their product, which may overflow while they are finite
+            if not (math.isfinite(ov) and math.isfinite(d1) and math.isfinite(d2)):
                 raise SearchFailure("shift refinement met a non-finite overlap")
             # keep the maximum of ov^2 bracketed: it rises to the right when ov * d1 > 0
             if ov * d1 > 0.0:

@@ -1,4 +1,4 @@
-"""Gradient descent on the stability quotient over discretized cylinder functions.
+"""Sobolev-gradient descent on the stability quotient over discretized cylinder functions.
 
 The quotient
 
@@ -11,6 +11,15 @@ shift the derivative with respect to the shift vanishes, so only the explicit
 dependence on the samples survives.  Iterates that sink below the manifold
 guard are rejected and the step halved, since the quotient is undefined on the
 manifold itself.
+
+Each step goes along the H1 Riesz representative of the sample gradient, the
+gradient divided by the Fourier multiplier omega^2 + tau_d of the H1 form
+(Neuberger's Sobolev gradient), which removes the omega^2 growth that stalls
+plain sample-gradient steps.  A start that is even in t keeps only the even
+part of each gradient.  For an even v the overlap <v, Psi_s^p> has two tied
+maxima at mirror-image shifts, so Q is the larger of two smooth branches, but
+their gradients are mirror images with one even part: along even functions Q
+is differentiable (Danskin), and the descent can stop on stationarity.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "NumericalFailure",
     "OnManifold",
     "QuotientReport",
+    "dip_start",
     "estimate_cbe",
     "gap_start",
     "minimize_quotient",
@@ -46,11 +56,17 @@ __all__ = [
 
 MANIFOLD_GUARD = 1e-8
 ON_MANIFOLD_TOL = 1e-10
-# descent recipe: first trial step, relative gradient tolerance, and the H1
-# size of a random start's perturbation relative to the bubble's
-INITIAL_STEP = 0.5
+# descent recipe: first trial step and cap of the backtracking step along the
+# H1 gradient, relative tolerance on its H1 norm, the relative odd part below
+# which a start counts as even in t, and the H1 size of a random start's
+# perturbation relative to the bubble's
+INITIAL_STEP = 1.0
+MAX_STEP = 4.0
 GRADIENT_TOL = 1e-6
+EVEN_TOL = 1e-12
 RANDOM_AMPLITUDE = 0.05
+# separations s * gamma of the two-bubble dip scan
+DIP_SEPARATIONS = np.arange(5, 61) / 10.0
 
 
 class OnManifold(RuntimeError):
@@ -67,7 +83,13 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class QuotientReport:
-    """Quotient evaluation or minimization outcome."""
+    """Quotient evaluation or minimization outcome.
+
+    ``gradient_norm`` is the H1 norm of the last gradient computed, and
+    ``stop`` says why the descent ended: ``"gradient"`` (that norm reached the
+    tolerance), ``"cap"`` (the iteration cap) or ``"stall"`` (the line search
+    found no descent).
+    """
 
     value: float
     distance_sq: float
@@ -77,6 +99,7 @@ class QuotientReport:
     gradient_norm: float
     trace: tuple[tuple[int, float], ...]
     start: str = "evaluation"
+    stop: str = "evaluation"
 
 
 @dataclass(frozen=True)
@@ -123,8 +146,15 @@ class _Objective:
 
     def _h1_grads(self, v: CylinderFunction) -> np.ndarray:
         m = self.model
-        tau = np.array([m.params.tau(d) for d in v.degrees])[:, None]
-        return 2.0 * m.h * (m.spectral_neg_laplacian(v.values) + tau * v.values)
+        spectrum = m.h1_multiplier(v.degrees) * np.fft.rfft(v.values)
+        return 2.0 * m.h * np.fft.irfft(spectrum, n=m.grid.nodes)
+
+    def riesz(self, degrees: tuple[int, ...], grads: np.ndarray) -> np.ndarray:
+        """H1 Riesz map of sample gradients, row k for ``degrees[k]``: the
+        inverse of the H1 form's gradient kernel 2h (D^T D + tau_d)."""
+        m = self.model
+        spectrum = np.fft.rfft(grads) / m.h1_multiplier(degrees)
+        return np.fft.irfft(spectrum, n=m.grid.nodes) / (2.0 * m.h)
 
     def _numerator_grads(
         self, h1_grads: np.ndarray, lp1_pow: float, lp1_grads: np.ndarray
@@ -169,6 +199,24 @@ def gap_start(model: CylinderModel, eps: float) -> tuple[str, CylinderFunction]:
     return f"gap-perturbation {name} eps={eps}", v
 
 
+def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
+    """The centred two-bubble function Psi_{-s/2} + Psi_{s/2} at the separation
+    of least Q among s * gamma in DIP_SEPARATIONS, with its start label."""
+    params = model.params
+    best = None
+    for s in DIP_SEPARATIONS / params.gamma:
+        pair = psi(params, model.t + 0.5 * s) + psi(params, model.t - 0.5 * s)
+        v = model.function({0: model.sqrt_area * pair})
+        numerator, projection = model.quotient_parts(v)
+        # a separation that lands on the manifold has no quotient
+        off = projection.distance_sq > ON_MANIFOLD_TOL * projection.h1_sq
+        q = numerator / projection.distance_sq if off else math.inf
+        if best is None or q < best[0]:
+            best = (q, s, v)
+    _, s, v = best
+    return f"two-bubble dip s={s:.4g}", v
+
+
 def random_start(model: CylinderModel, seed: int) -> tuple[str, CylinderFunction]:
     """Psi plus a seeded smooth perturbation orthogonal to the soft modes, of
     H1 size RANDOM_AMPLITUDE |Psi|_H1, with its start label."""
@@ -196,31 +244,46 @@ def quotient(v: CylinderFunction) -> QuotientReport:
     )
 
 
+def _is_even(v: CylinderFunction) -> bool:
+    """Whether every profile of ``v`` is even in t to EVEN_TOL relative; the
+    grid is symmetric about t = 0 only to about one ulp."""
+    odd = np.max(np.abs(v.values - v.values[:, ::-1]))
+    return bool(odd <= EVEN_TOL * np.max(np.abs(v.values)))
+
+
 def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientReport:
-    """Backtracking gradient descent on Q with the L^{p+1} normalization,
+    """Backtracking H1-gradient descent on Q with the L^{p+1} normalization,
     from ``start`` on the model of its parameter point.
 
+    A start that is even in t descends along the even part of each gradient.
     Steps that collapse onto the manifold guard are rejected with the step
-    halved; the search terminates at the gradient tolerance or after
-    ``max_iterations`` steps and returns the best quotient seen, labelled
-    ``start="explicit"``.
+    halved.  The search stops when the H1 norm of the gradient reaches
+    GRADIENT_TOL max(1, |Q|), after ``max_iterations`` steps, or when the line
+    search finds no descent; the report, labelled ``start="explicit"``, says
+    which in ``stop``.
     """
     model = model_for(start.params)
     objective = _Objective(model)
     it = objective.normalized(start)
     _require_off_manifold(it.projection)
-    best = it
+    even = _is_even(it.v)
     trace = [(0, it.value)]
     step = INITIAL_STEP
     grad_norm = math.nan
     iterations = 0
+    stop = "cap"
     for iteration in range(1, max_iterations + 1):
         grads = objective.gradient(it)
+        if even:
+            grads = 0.5 * (grads + grads[:, ::-1])
+        riesz = objective.riesz(it.v.degrees, grads)
         q = it.value
-        grad_norm = math.sqrt(sum(model.h * float(np.dot(g, g)) for g in grads))
+        # <G, (h (D^T D + tau))^-1 G> = 2 <G, R> is the squared H1 norm of the gradient
+        grad_norm = math.sqrt(2.0 * float(np.sum(grads * riesz)))
         if grad_norm <= GRADIENT_TOL * max(1.0, abs(q)):
+            stop = "gradient"
             break
-        direction = model.from_rows(it.v.degrees, -grads)
+        direction = model.from_rows(it.v.degrees, -riesz)
         alpha = step
         for _ in range(30):
             candidate = objective.normalized(combine([1.0, alpha], [it.v, direction]))
@@ -232,17 +295,17 @@ def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientR
         else:
             if iteration == 1:
                 raise NoDescent("line search failed at the first iterate")
+            stop = "stall"
             break
-        # the accepted candidate carries its pieces into the next gradient
+        # the accepted candidate carries its pieces into the next gradient; an
+        # accepted step always lowers Q, so the last iterate is the best
         it = candidate
-        step = min(INITIAL_STEP, 2.0 * alpha)
+        step = min(MAX_STEP, 2.0 * alpha)
         iterations = iteration
         trace.append((iteration, it.value))
-        if it.value < best.value:
-            best = it
-    projection = best.projection
+    projection = it.projection
     return QuotientReport(
-        value=best.value,
+        value=it.value,
         distance_sq=projection.distance_sq,
         shift=projection.shift,
         bounds=bounds_report(start.params),
@@ -250,6 +313,7 @@ def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientR
         gradient_norm=grad_norm,
         trace=tuple(trace),
         start="explicit",
+        stop=stop,
     )
 
 
@@ -262,16 +326,14 @@ def estimate_cbe(
     """Multi-start quotient minimization; returns the best report, labelled
     with its start.
 
-    The start menu is a list of (label, function) pairs: three gap-perturbation
-    sizes, two bubble separations and ``starts`` seeded random perturbations,
-    each descended by ``minimize_quotient``; a start that raises NoDescent or
+    The start menu is a list of (label, function) pairs: the two-bubble dip
+    (``dip_start``) and ``starts`` seeded random perturbations of Psi, each
+    descended by ``minimize_quotient``; a start that raises NoDescent or
     OnManifold is dropped.  The exit value must respect
     0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a NumericalFailure is raised.
     """
     model = model_for(params)
-    menu = [gap_start(model, eps) for eps in (0.02, 0.05, 0.1)]
-    separations = (8.0 / params.gamma, 10.0 / params.gamma)
-    menu += [(f"two-bubble s={s:.4g}", model.two_bubble(s)) for s in separations]
+    menu = [dip_start(model)]
     menu += [random_start(model, seed + k) for k in range(starts)]
     best: QuotientReport | None = None
     for label, start in menu:

@@ -89,6 +89,12 @@ def psi_second(params: CknParams, t):
     return (d * d * th * th - d * g * sech_sq) * psi(params, t)
 
 
+def neg_laplacian(model: CylinderModel, f: np.ndarray) -> np.ndarray:
+    """D^T D f for each row of ``f``: the spectral kernel of the derivative
+    part of the H1 form, applied apart from its tau term."""
+    return np.fft.irfft(model.omega**2 * np.fft.rfft(f), n=model.grid.nodes)
+
+
 def lp1_norm(model: CylinderModel, v: CylinderFunction) -> float:
     """|v|_{p+1} over the cylinder."""
     return model.lp1_pow(v) ** (1.0 / (model.params.p + 1.0))

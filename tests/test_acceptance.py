@@ -39,6 +39,7 @@ from cknlab.params import RegionClass, classify, felli_schneider, make_params
 from cknlab.specfun import cosh_power_integral, sphere_area
 from cknlab.spectrum import eigenvalue_closed, rho_02, rho_10_profile, spectral_gap
 from tests.conftest import sample_valid_params
+from tests.oracles import neg_laplacian
 from tests.test_specfun import quad_cosh_power
 
 
@@ -63,7 +64,7 @@ def _gradient_scale(model, objective, v, direction) -> float:
                 np.dot(
                     2.0
                     * model.h
-                    * (model.spectral_neg_laplacian(v.mode(d)) + params.tau(d) * v.mode(d)),
+                    * (neg_laplacian(model, v.mode(d)) + params.tau(d) * v.mode(d)),
                     direction.mode(d),
                 )
             )

@@ -296,6 +296,23 @@ def test_energy_reports_null_quotient_where_the_distance_is_not_positive():
     assert doc["gap_perturbation"]["value"] is None
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("-0.409781067211505", "0.568426142516292"),
+        ("-0.686190553841156", "0.289072233096560"),
+        ("-0.243300393001494", "0.728277455722079"),
+        ("-0.577761673720659", "0.401837716790225"),
+    ],
+)
+def test_energy_where_overlaps_pass_1e154(a, b):
+    # p = 1.012 to 1.017: the bubble overlaps exceed 1e154, so their squares
+    # and products overflow although each value is in range
+    code, out = run_cli(["energy", "7", "--", a, b])
+    assert code == 0, out
+    assert json.loads(out)["two_bubble"]["dist_ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_search_failure_exit_code(monkeypatch):
     from cknlab import minimizer
     from cknlab.cylinder import SearchFailure

@@ -223,6 +223,16 @@ def test_two_bubble_overlap_maximizer_tracks_bubble(params_p3):
     assert not projection.edge_attained
 
 
+def test_projection_of_psi_where_the_squared_overlap_overflows():
+    # p = 1.0117: the overlap of Psi with itself is about 2e170, so its square
+    # is inf, and the Newton guard's product ov * d1 * d2 overflows as well
+    params = make_params(7, -0.577761673720659, 0.401837716790225)
+    model = model_for(params)
+    projection = model.distance_to_manifold(model.psi_function())
+    assert abs(projection.shift) <= model.h
+    assert projection.distance_sq <= 1e-8 * model.energy_psi
+
+
 def test_cauchy_schwarz(params_case2, rng):
     model = model_for(params_case2)
     for _ in range(10):

@@ -3,9 +3,12 @@ import pytest
 
 from cknlab.cylinder import combine, model_for, scale
 from cknlab.minimizer import (
+    EVEN_TOL,
     NumericalFailure,
     OnManifold,
+    _is_even,
     _Objective,
+    dip_start,
     estimate_cbe,
     gap_start,
     minimize_quotient,
@@ -14,6 +17,7 @@ from cknlab.minimizer import (
 )
 from cknlab.params import make_params
 from cknlab.spectrum import spectral_gap
+from tests.oracles import neg_laplacian
 
 
 def test_quotient_near_gap_eigenfunction(params_case2):
@@ -87,7 +91,7 @@ def test_numerator_gradient_matches_finite_differences(params_case2, rng):
                             2.0
                             * model.h
                             * (
-                                model.spectral_neg_laplacian(v.mode(d))
+                                neg_laplacian(model, v.mode(d))
                                 + params_case2.tau(d) * v.mode(d)
                             ),
                             direction.mode(d),
@@ -140,7 +144,7 @@ def test_numerator_gradient_rows_follow_degrees(params_case2, rng, layout):
                         2.0
                         * model.h
                         * (
-                            model.spectral_neg_laplacian(v.mode(d))
+                            neg_laplacian(model, v.mode(d))
                             + params_case2.tau(d) * v.mode(d)
                         ),
                         direction.mode(d),
@@ -217,17 +221,57 @@ def test_estimate_cbe_deterministic(params_case2):
     assert first.start == second.start
 
 
-# best quotients at the acceptance minimizer points (starts=1, seed=7) from the
-# golden-section shift search that the Newton refinement replaced; that search
-# resolved the shift only to 6e-9..6e-8, and the two agree to under 1e-9 relative
+# best quotients at the acceptance minimizer points (starts=1, seed=7): the
+# two-bubble dip descended in H1 along even functions, stopped on the gradient
+REFERENCE_VALUES = {
+    (4, 0.5, 0.6): 0.37602230543720194,
+    (4, 0.0, 0.5): 0.2385193368718684,
+    (4, 0.0, 0.3): 0.3121130873359297,
+}
+
+
+# old_pin: the value that the 60-iteration L2 descent stalled at
 @pytest.mark.parametrize(
-    "point, value",
+    "point, old_pin",
     [
         ((4, 0.5, 0.6), 0.4566802970259557),
         ((4, 0.0, 0.5), 0.31658942577884347),
         ((4, 0.0, 0.3), 0.3706591520548443),
     ],
 )
-def test_estimate_cbe_matches_reference_values(point, value):
+def test_estimate_cbe_matches_reference_values(point, old_pin):
     report = estimate_cbe(make_params(*point), starts=1, seed=7)
-    assert report.value == pytest.approx(value, rel=1e-8)
+    assert report.value == pytest.approx(REFERENCE_VALUES[point], rel=1e-8)
+    assert report.value <= old_pin
+    assert report.stop == "gradient"
+
+
+def test_dip_descent_stops_on_the_gradient(params_remaining):
+    label, start = dip_start(model_for(params_remaining))
+    assert label.startswith("two-bubble dip s=")
+    report = minimize_quotient(start, 60)
+    assert report.stop == "gradient"
+    assert report.gradient_norm <= 1e-6
+    assert report.value <= 0.3122
+
+
+def test_dip_start_is_even_on_a_grid_symmetric_to_one_ulp(params_case1, params_remaining):
+    for params in (params_case1, params_remaining):
+        model = model_for(params)
+        # the nodes mirror each other only to rounding, so evenness is judged
+        # to EVEN_TOL, once per start
+        assert not np.array_equal(model.t, -model.t[::-1])
+        assert np.max(np.abs(model.t + model.t[::-1])) <= EVEN_TOL * model.grid.half_width
+        assert _is_even(dip_start(model)[1])
+        assert not _is_even(model.two_bubble(8.0 / params.gamma))
+
+
+def test_radial_minimum_depends_on_p_alone():
+    # on the cylinder t -> (a_c - a) t maps each point onto one with the same
+    # p, and Q is scale-free, so the dip descent reaches one minimum
+    values = []
+    for point in ((3, 0.0, 0.475), (4, 0.0, 0.3), (5, 0.0, 0.125)):
+        params = make_params(*point)
+        assert params.p == pytest.approx(2.0769230769230769, rel=1e-14)
+        values.append(minimize_quotient(dip_start(model_for(params))[1], 100).value)
+    assert max(values) - min(values) <= 1e-10
