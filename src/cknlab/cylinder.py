@@ -10,12 +10,12 @@ The profiles form one (degrees x nodes) array, row k for the k-th degree in
 increasing order, and every gradient with respect to the samples has the same
 layout, so linear algebra on functions and gradients is array arithmetic.
 
-Axis derivatives are spectral (FFT on the periodic extension; every profile
-in scope decays far below roundoff at the walls), so the quadratic form is
-exact to machine precision for smooth profiles while remaining an explicit
-quadratic in the samples with an exact gradient.  The L^{p+1} norm needs a
-genuine 2D quadrature (uniform rule along the axis, Gauss-Gegenbauer in the
-polar angle, built by Golub-Welsch).
+Functions carry samples only: the model owns the H1 form as one Fourier
+multiplier omega^2 + tau_d per degree (spectral derivatives on the periodic
+extension; every profile in scope decays far below roundoff at the walls),
+which the form, its sample gradient and its Riesz map all apply.  The L^{p+1}
+norm needs a genuine 2D quadrature (uniform rule along the axis,
+Gauss-Gegenbauer in the polar angle, built by Golub-Welsch).
 
 The squared distance to the manifold of scaled, translated bubbles is
 
@@ -73,27 +73,25 @@ class SearchFailure(RuntimeError):
 class CylinderFunction:
     """Mode-truncated zonal function: profiles against orthonormal harmonics.
 
-    Row k of ``values`` samples the axis profile of degree ``degrees[k]``, and
-    row k of ``derivs`` its spectral axis derivative; linear operations
-    propagate both so the H1 form never re-differentiates.  ``degrees`` is a
-    sorted tuple of unique degrees, and both arrays are read-only and shaped
-    ``(len(degrees), grid.nodes)``.  Functions compare and hash by identity.
+    Row k of ``values`` samples the axis profile of degree ``degrees[k]``;
+    derivatives are the model's business (``CylinderModel.h1_multiplier``).
+    ``degrees`` is a sorted tuple of unique degrees, and ``values`` is
+    read-only and shaped ``(len(degrees), grid.nodes)``.  Functions compare
+    and hash by identity.
     """
 
     params: CknParams
     grid: GridSpec
     degrees: tuple[int, ...]
     values: np.ndarray
-    derivs: np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.degrees, tuple) or list(self.degrees) != sorted(set(self.degrees)):
             raise ValueError("degrees must be a tuple of sorted unique degrees")
         shape = (len(self.degrees), self.grid.nodes)
-        if self.values.shape != shape or self.derivs.shape != shape:
-            raise ValueError(f"values and derivs must both have shape {shape}")
+        if self.values.shape != shape:
+            raise ValueError(f"values must have shape {shape}")
         self.values.setflags(write=False)
-        self.derivs.setflags(write=False)
 
     def mode(self, degree: int) -> np.ndarray:
         if degree in self.degrees:
@@ -102,7 +100,7 @@ class CylinderFunction:
 
 
 def scale(v: CylinderFunction, c: float) -> CylinderFunction:
-    return replace(v, values=c * v.values, derivs=c * v.derivs)
+    return replace(v, values=c * v.values)
 
 
 def combine(coeffs, funcs) -> CylinderFunction:
@@ -113,12 +111,9 @@ def combine(coeffs, funcs) -> CylinderFunction:
             raise GridMismatch("cannot combine functions from different models")
     degrees = tuple(sorted({d for f in funcs for d in f.degrees}))
     values = np.zeros((len(degrees), first.grid.nodes))
-    derivs = np.zeros_like(values)
     for c, f in zip(coeffs, funcs):
-        rows = np.searchsorted(degrees, f.degrees)
-        values[rows] += c * f.values
-        derivs[rows] += c * f.derivs
-    return CylinderFunction(first.params, first.grid, degrees, values, derivs)
+        values[np.searchsorted(degrees, f.degrees)] += c * f.values
+    return CylinderFunction(first.params, first.grid, degrees, values)
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ class CylinderModel:
         self.sqrt_area = math.sqrt(self.area)
         self.angle_x, self.angle_w, self.angle_prefactor = _angle_rule(params.N)
         self._harmonics: dict[int, np.ndarray] = {}
-        self._h1_multipliers: dict[int, np.ndarray] = {}
+        self._h1_multipliers: dict[tuple[int, ...], np.ndarray] = {}
 
         # spectral differentiation wavenumbers (Nyquist zeroed keeps D real
         # and antisymmetric, hence D^T D = -D^2)
@@ -195,17 +190,26 @@ class CylinderModel:
         # divided twice: lp1_pow_psi squared leaves the double range near p -> 1
         self.kappa = self.energy_psi / self.lp1_pow_psi / self.lp1_pow_psi
 
-    def spectral_derivative(self, f: np.ndarray) -> np.ndarray:
-        """Axis derivative of each row of ``f``."""
-        return np.fft.irfft(1j * self.omega * np.fft.rfft(f), n=self.grid.nodes)
-
     def h1_multiplier(self, degrees: tuple[int, ...]) -> np.ndarray:
         """omega^2 + tau_d, row k for ``degrees[k]``: the Fourier multiplier of
         D^T D + tau_d, the operator of the degree-d part of the H1 form."""
-        for d in degrees:
-            if d not in self._h1_multipliers:
-                self._h1_multipliers[d] = self.omega**2 + self.params.tau(d)
-        return np.stack([self._h1_multipliers[d] for d in degrees])
+        if degrees not in self._h1_multipliers:
+            taus = np.array([self.params.tau(d) for d in degrees])
+            self._h1_multipliers[degrees] = self.omega**2 + taus[:, None]
+        return self._h1_multipliers[degrees]
+
+    def h1_gradient(self, v: CylinderFunction) -> np.ndarray:
+        """Gradient of h1_inner(v, v) with respect to the samples, row k for
+        ``v.degrees[k]``: 2h (D^T D + tau_d) applied to each profile."""
+        self._check(v)
+        spectrum = self.h1_multiplier(v.degrees) * np.fft.rfft(v.values)
+        return 2.0 * self.h * np.fft.irfft(spectrum, n=self.grid.nodes)
+
+    def riesz(self, degrees: tuple[int, ...], grads: np.ndarray) -> np.ndarray:
+        """H1 Riesz map of sample gradients, row k for ``degrees[k]``: the
+        inverse of ``h1_gradient``'s kernel 2h (D^T D + tau_d)."""
+        spectrum = np.fft.rfft(grads) / self.h1_multiplier(degrees)
+        return np.fft.irfft(spectrum, n=self.grid.nodes) / (2.0 * self.h)
 
     # ------------------------------------------------------------------
     # harmonics
@@ -232,9 +236,7 @@ class CylinderModel:
 
     def from_rows(self, degrees: tuple[int, ...], values: np.ndarray) -> CylinderFunction:
         """The function whose degree-``degrees[k]`` profile is ``values[k]``."""
-        return CylinderFunction(
-            self.params, self.grid, degrees, values, self.spectral_derivative(values)
-        )
+        return CylinderFunction(self.params, self.grid, degrees, values)
 
     def psi_function(self, shift: float = 0.0, scalar: float = 1.0) -> CylinderFunction:
         values = self.psi_values if shift == 0.0 else psi(self.params, self.t - shift)
@@ -276,15 +278,10 @@ class CylinderModel:
     # ------------------------------------------------------------------
     # norms and inner products
     def h1_inner(self, u: CylinderFunction, v: CylinderFunction) -> float:
-        """Discrete H1 inner product (spectral derivatives, uniform rule)."""
-        self._check(u)
+        """Discrete H1 inner product, half the pairing of ``h1_gradient(u)`` with v."""
         self._check(v)
-        total = 0.0
-        for d in sorted(set(u.degrees) & set(v.degrees)):
-            i, j = u.degrees.index(d), v.degrees.index(d)
-            total += self.h * float(np.dot(u.derivs[i], v.derivs[j]))
-            total += self.params.tau(d) * self.h * float(np.dot(u.values[i], v.values[j]))
-        return total
+        grads = self.h1_gradient(u)
+        return 0.5 * sum(float(np.dot(grads[k], v.mode(d))) for k, d in enumerate(u.degrees))
 
     def lp1_pow(self, v: CylinderFunction, with_gradient: bool = False):
         """int |v|^(p+1) over the cylinder.
@@ -338,8 +335,11 @@ class CylinderModel:
     def overlap(self, v: CylinderFunction, s: float) -> float:
         """<v, Psi_s^p> over the cylinder; only the radial mode contributes."""
         self._check(v)
-        shifted_pow = psi(self.params, self.t - s) ** self.params.p
-        return self.sqrt_area * self.h * float(np.dot(v.mode(0), shifted_pow))
+        return float(np.dot(v.mode(0), self.overlap_gradient(s)))
+
+    def overlap_gradient(self, s: float) -> np.ndarray:
+        """Gradient of ``overlap(v, s)`` with respect to the radial samples of v."""
+        return self.sqrt_area * self.h * psi(self.params, self.t - s) ** self.params.p
 
     def _overlap_derivatives(self, f0: np.ndarray, s: float) -> tuple[float, float, float]:
         """<v, Psi_s^p> and its first two shift derivatives, from the radial profile.
@@ -351,12 +351,11 @@ class CylinderModel:
         params = self.params
         pd = params.p * params.ac_minus_a
         th = np.tanh(params.gamma * (self.t - s))
-        weighted = f0 * psi(params, self.t - s) ** params.p
-        c = self.sqrt_area * self.h
+        weighted = f0 * self.overlap_gradient(s)
         return (
-            c * float(np.sum(weighted)),
-            c * pd * float(np.dot(weighted, th)),
-            c * pd * float(np.dot(weighted, pd * th * th - params.gamma * (1.0 - th * th))),
+            float(np.sum(weighted)),
+            pd * float(np.dot(weighted, th)),
+            pd * float(np.dot(weighted, pd * th * th - params.gamma * (1.0 - th * th))),
         )
 
     def _overlap_scan(self, v: CylinderFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -144,18 +144,6 @@ class _Objective:
             v=v, lp1_grads=c**self.p * lp1_grads, projection=projection, numerator=numerator
         )
 
-    def _h1_grads(self, v: CylinderFunction) -> np.ndarray:
-        m = self.model
-        spectrum = m.h1_multiplier(v.degrees) * np.fft.rfft(v.values)
-        return 2.0 * m.h * np.fft.irfft(spectrum, n=m.grid.nodes)
-
-    def riesz(self, degrees: tuple[int, ...], grads: np.ndarray) -> np.ndarray:
-        """H1 Riesz map of sample gradients, row k for ``degrees[k]``: the
-        inverse of the H1 form's gradient kernel 2h (D^T D + tau_d)."""
-        m = self.model
-        spectrum = np.fft.rfft(grads) / m.h1_multiplier(degrees)
-        return np.fft.irfft(spectrum, n=m.grid.nodes) / (2.0 * m.h)
-
     def _numerator_grads(
         self, h1_grads: np.ndarray, lp1_pow: float, lp1_grads: np.ndarray
     ) -> np.ndarray:
@@ -169,14 +157,13 @@ class _Objective:
         envelope property."""
         m = self.model
         projection = it.projection
-        h1_grads = self._h1_grads(it.v)
+        h1_grads = m.h1_gradient(it.v)
         num_grads = self._numerator_grads(h1_grads, 1.0, it.lp1_grads)
         # overlap gradient at the optimal shift, in the radial row only; the
         # shift's own derivative drops out by the envelope property
         dist_grads = h1_grads.copy()
         if 0 in it.v.degrees:
-            psi_pow_shift = psi(m.params, m.t - projection.shift) ** self.p
-            grad_overlap0 = m.sqrt_area * m.h * psi_pow_shift
+            grad_overlap0 = m.overlap_gradient(projection.shift)
             dist_grads[0] -= 2.0 * m.kappa * projection.overlap * grad_overlap0
         return (num_grads - it.value * dist_grads) / projection.distance_sq
 
@@ -184,7 +171,7 @@ class _Objective:
         """Gradient of the numerator alone, row k for ``v.degrees[k]`` (used by
         the correctness checks)."""
         lp1_pow, lp1_grads = self.model.lp1_pow(v, with_gradient=True)
-        return self._numerator_grads(self._h1_grads(v), lp1_pow, lp1_grads)
+        return self._numerator_grads(self.model.h1_gradient(v), lp1_pow, lp1_grads)
 
 
 def gap_start(model: CylinderModel, eps: float) -> tuple[str, CylinderFunction]:
@@ -276,7 +263,7 @@ def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientR
         grads = objective.gradient(it)
         if even:
             grads = 0.5 * (grads + grads[:, ::-1])
-        riesz = objective.riesz(it.v.degrees, grads)
+        riesz = model.riesz(it.v.degrees, grads)
         q = it.value
         # <G, (h (D^T D + tau))^-1 G> = 2 <G, R> is the squared H1 norm of the gradient
         grad_norm = math.sqrt(2.0 * float(np.sum(grads * riesz)))
@@ -317,6 +304,18 @@ def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientR
     )
 
 
+def _best_descent(menu, max_iterations: int, best: QuotientReport | None = None):
+    """The least of ``best`` and the descents from ``menu``, labelled with its start."""
+    for label, start in menu:
+        try:
+            report = minimize_quotient(start, max_iterations)
+        except (NoDescent, OnManifold):
+            continue
+        if best is None or report.value < best.value:
+            best = replace(report, start=label)
+    return best
+
+
 def estimate_cbe(
     params: CknParams,
     starts: int = 2,
@@ -329,20 +328,17 @@ def estimate_cbe(
     The start menu is a list of (label, function) pairs: the two-bubble dip
     (``dip_start``) and ``starts`` seeded random perturbations of Psi, each
     descended by ``minimize_quotient``; a start that raises NoDescent or
-    OnManifold is dropped.  The exit value must respect
+    OnManifold is dropped.  In the Remaining region, where the dip can end above
+    the gap bound, ``gap_start(model, 0.02)`` follows unless the best so far is
+    below gap bound - 1e-3.  The exit value must respect
     0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a NumericalFailure is raised.
     """
     model = model_for(params)
-    menu = [dip_start(model)]
-    menu += [random_start(model, seed + k) for k in range(starts)]
-    best: QuotientReport | None = None
-    for label, start in menu:
-        try:
-            report = minimize_quotient(start, max_iterations)
-        except (NoDescent, OnManifold):
-            continue
-        if best is None or report.value < best.value:
-            best = replace(report, start=label)
+    menu = [dip_start(model)] + [random_start(model, seed + k) for k in range(starts)]
+    best = _best_descent(menu, max_iterations)
+    if classify(params).region == RegionClass.REMAINING:
+        if best is None or best.value >= best.bounds.bound_gap - 1e-3:
+            best = _best_descent([gap_start(model, 0.02)], max_iterations, best)
     if best is None:
         raise NumericalFailure("no start produced a usable minimization")
     bounds = best.bounds

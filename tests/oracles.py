@@ -95,6 +95,21 @@ def neg_laplacian(model: CylinderModel, f: np.ndarray) -> np.ndarray:
     return np.fft.irfft(model.omega**2 * np.fft.rfft(f), n=model.grid.nodes)
 
 
+def derivative_dot_h1_inner(model: CylinderModel, u: CylinderFunction, v: CylinderFunction) -> float:
+    """The H1 inner product from explicit spectral axis derivatives, one shared
+    degree d at a time: h sum_j (Du_j Dv_j + tau_d u_j v_j)."""
+
+    def derivative(f):
+        return np.fft.irfft(1j * model.omega * np.fft.rfft(f), n=model.grid.nodes)
+
+    total = 0.0
+    for d in sorted(set(u.degrees) & set(v.degrees)):
+        f, g = u.mode(d), v.mode(d)
+        total += model.h * float(np.dot(derivative(f), derivative(g)))
+        total += model.params.tau(d) * model.h * float(np.dot(f, g))
+    return total
+
+
 def lp1_norm(model: CylinderModel, v: CylinderFunction) -> float:
     """|v|_{p+1} over the cylinder."""
     return model.lp1_pow(v) ** (1.0 / (model.params.p + 1.0))

@@ -261,6 +261,15 @@ def test_numerical_failure_exit_code(command):
     assert doc["error"]
 
 
+def test_minimize_remaining_point_where_the_dip_ends_above_the_gap():
+    code, out = run_cli(["minimize", "5", "0", "0.125", "--starts", "1"])
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["start"].startswith("gap-perturbation rho10")
+    bounds = doc["bounds"]
+    assert 0.0 < doc["q_best"] <= min(bounds["bound_gap"], bounds["bound_two_bubble"]) + 1e-3
+
+
 @pytest.mark.parametrize("b", ["0.98", "0.9728"])
 def test_energy_reports_null_deficit_rate_where_the_decay_underflows(b):
     # exp(-2 gamma s/(p-1)) at the default s = 10/gamma is 0.0 at b = 0.98

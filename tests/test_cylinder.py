@@ -9,7 +9,7 @@ from cknlab.cylinder import ANGLE_NODES, CylinderFunction, GridMismatch, _angle_
 from cknlab.energy import rho02_h1_norm_sq
 from cknlab.extremals import psi_norms
 from cknlab.params import felli_schneider, make_params
-from tests.oracles import lp1_norm, tensor_lp1_pow
+from tests.oracles import derivative_dot_h1_inner, lp1_norm, tensor_lp1_pow
 
 
 @pytest.mark.parametrize("n_dim", range(2, 9))
@@ -96,25 +96,22 @@ def test_cylinder_function_validates_its_layout(params_case2):
     model = model_for(params_case2)
     n = model.grid.nodes
 
-    def build(degrees, shape=(2, n), derivs_shape=None):
-        return CylinderFunction(
-            params_case2, model.grid, degrees, np.zeros(shape), np.zeros(derivs_shape or shape)
-        )
+    def build(degrees, shape=(2, n)):
+        return CylinderFunction(params_case2, model.grid, degrees, np.zeros(shape))
 
     build((0, 1))
     for degrees in ((1, 0), (0, 0), [0, 1]):
         with pytest.raises(ValueError, match="degrees"):
             build(degrees)
-    for shape, derivs_shape in (((2, n - 1), None), ((3, n), None), ((n,), None), ((2, n), (1, n))):
+    for shape in ((2, n - 1), (3, n), (n,)):
         with pytest.raises(ValueError, match="shape"):
-            build((0, 1), shape, derivs_shape)
+            build((0, 1), shape)
     v = model.function({0: model.psi_values, 2: model.psi_values})
     assert v.degrees == (0, 2)
     for u in (v, scale(v, 2.0), combine([1.0, 1.0], [v, model.rho10_function()])):
-        for array in (u.values, u.derivs):
-            assert array.shape == (len(u.degrees), n)
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
+        assert u.values.shape == (len(u.degrees), n)
+        with pytest.raises(ValueError, match="read-only"):
+            u.values[0, 0] = 1.0
 
 
 def test_cylinder_functions_compare_by_identity(params_case2):
@@ -127,21 +124,50 @@ def test_cylinder_functions_compare_by_identity(params_case2):
 
 
 def test_array_layout_matches_the_per_degree_loop(params_case2, rng):
-    # batched FFTs and row updates do the per-degree arithmetic unchanged, so
-    # the per-degree loop is an exact reference
+    # row updates do the per-degree arithmetic unchanged, so the per-degree
+    # loop is an exact reference
     model = model_for(params_case2)
     n = model.grid.nodes
     envelope = np.exp(-((model.t / 40.0) ** 2))
     u = model.function({d: rng.standard_normal(n) * envelope for d in (0, 1)})
     w = model.function({d: rng.standard_normal(n) * envelope for d in (0, 2)})
-    for f in (u, w):
-        for k, d in enumerate(f.degrees):
-            assert np.array_equal(f.derivs[k], model.spectral_derivative(f.mode(d)))
     mixed = combine([0.3, -1.7], [u, w])
     assert mixed.degrees == (0, 1, 2)
     for k, d in enumerate(mixed.degrees):
         reference = np.zeros(n) + 0.3 * u.mode(d) + -1.7 * w.mode(d)
         assert np.array_equal(mixed.values[k], reference)
+
+
+def test_h1_inner_matches_the_derivative_dot_reference(params_case2, rng):
+    # the multiplier form against explicit spectral derivatives, for equal and
+    # unequal arguments, shared and unshared degrees
+    model = model_for(params_case2)
+    n = model.grid.nodes
+    envelope = np.exp(-((model.t / 40.0) ** 2))
+    u = model.function({d: rng.standard_normal(n) * envelope for d in (0, 1)})
+    w = model.function({d: rng.standard_normal(n) * envelope for d in (0, 2)})
+    pairs = ((u, u), (u, w), (w, u), (u, model.rho10_function()), (model.psi_function(), w))
+    for f, g in pairs:
+        assert model.h1_inner(f, g) == pytest.approx(derivative_dot_h1_inner(model, f, g), rel=1e-13)
+    disjoint = model.function({3: rng.standard_normal(n) * envelope})
+    assert model.h1_inner(u, disjoint) == derivative_dot_h1_inner(model, u, disjoint) == 0.0
+
+
+def test_h1_gradient_and_riesz_map_follow_the_form(params_case2, rng):
+    # <h1_gradient(v), w> = 2 h1_inner(w, v) (the form is symmetric), and the
+    # Riesz map inverts the gradient
+    model = model_for(params_case2)
+    n = model.grid.nodes
+    envelope = np.exp(-((model.t / 40.0) ** 2))
+    v = model.function({d: rng.standard_normal(n) * envelope for d in (0, 2)})
+    w = model.function({d: rng.standard_normal(n) * envelope for d in (0, 2)})
+    grads = model.h1_gradient(v)
+    assert grads.shape == v.values.shape
+    pairing = float(np.sum(grads * w.values))
+    assert pairing == pytest.approx(2.0 * model.h1_inner(v, w), rel=1e-12)
+    assert pairing == pytest.approx(2.0 * model.h1_inner(w, v), rel=1e-12)
+    scale_v = np.max(np.abs(v.values))
+    np.testing.assert_allclose(model.riesz(v.degrees, grads), v.values, rtol=0.0, atol=1e-12 * scale_v)
 
 
 def test_mode_one_norm_reflection_invariance(params_remaining):

@@ -213,6 +213,17 @@ def test_estimate_cbe_bounds_per_region(params_case1, params_case2, params_remai
         assert 1e-4 < report.value <= ceiling
 
 
+@pytest.mark.parametrize(
+    "point", [(5, 0.0, 0.125), (2, -1.0019, -0.2218), (4, -0.4001, 0.0039), (6, 0.2117, 0.3795)]
+)
+def test_estimate_cbe_within_bounds_where_the_dip_ends_above_the_gap(point):
+    # Remaining points where the dip descent ends above the gap bound + 1e-3;
+    # the rho10 perturbation of Psi brings the best result under the ceiling
+    report = estimate_cbe(make_params(*point), starts=1, seed=7)
+    ceiling = min(report.bounds.bound_gap, report.bounds.bound_two_bubble) + 1e-3
+    assert 0.0 < report.value <= ceiling
+
+
 def test_estimate_cbe_deterministic(params_case2):
     first = estimate_cbe(params_case2, starts=1, seed=5, max_iterations=15)
     second = estimate_cbe(params_case2, starts=1, seed=5, max_iterations=15)
