@@ -54,8 +54,9 @@ __all__ = [
 
 # Gauss-Gegenbauer nodes in the polar angle
 ANGLE_NODES = 64
-# tensor-grid rows per block of samples in lp1_pow (256 to 1024 time alike)
-LP1_BLOCK_ROWS = 512
+# rows per block of samples in lp1_pow: 128 to 512 time alike on 2048 and 4096
+# nodes, but 512 is slower on 1024 and its temporaries reach half the core on 2048
+LP1_BLOCK_ROWS = 128
 # Newton refinement of the maximizing shift: step tolerance and iteration cap
 SHIFT_TOL = 1e-12
 SHIFT_ITERATIONS = 100

@@ -94,20 +94,21 @@ def third_order_coefficient(params: CknParams) -> float:
         * amplitude^(p-2) * |S^(N-1)| * B((p+1)/(p-1), 1/2)
         * (p-1)^3 (p+3),
 
-    strictly positive for p > 1.
+    strictly positive for p > 1.  The amplitude power goes through its
+    logarithm: as p -> 1 the amplitude overflows while this moment does not.
     """
     p, g = params.p, params.gamma
-    amp = profile(params).amplitude
-    quartic = (p - 1.0) ** 3 * (p + 3.0)  # = p^4 - 6 p^2 + 8 p - 3
+    m = (p + 1.0) / (p - 1.0)
+    log_amp = math.log((p + 1.0) * params.ac_minus_a**2 / 2.0) / (p - 1.0)
+    log_tail = (p - 2.0) * log_amp + math.lgamma(m) + math.lgamma(0.5) - math.lgamma(m + 0.5)
     return (
         2.0
         * (p + 1.0)
         * p**3
-        / (g * (7.0 * p - 3.0) * (5.0 * p - 1.0) * (p - 1.0) ** 6)
-        * amp ** (p - 2.0)
+        * (p + 3.0)
+        / (g * (7.0 * p - 3.0) * (5.0 * p - 1.0))
         * sphere_moments(params.N).area
-        * beta((p + 1.0) / (p - 1.0), 0.5)
-        * quartic
+        * math.exp(log_tail - 3.0 * math.log(p - 1.0))
     )
 
 

@@ -70,9 +70,15 @@ def bubble_half_width(params: CknParams) -> float:
     return max(30.0 / params.ac_minus_a, min(40.0, envelope) / params.gamma)
 
 
+# default_grid: powers of two from GRID_MIN_NODES up to GRID_MAX_NODES, with
+# spacing h gamma <= GRID_H_TAIL and h gamma <= GRID_H_CORE sqrt((p-1)/2)
+GRID_MIN_NODES, GRID_MAX_NODES = 1024, 4096
+GRID_H_TAIL, GRID_H_CORE = 0.12, 0.25
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform axis grid on [-T, T] with Dirichlet ends."""
+    """Uniform axis grid on [-T, T] with Dirichlet ends and at least GRID_MIN_NODES nodes."""
 
     half_width: float
     nodes: int
@@ -80,8 +86,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.half_width <= 0.0:
             raise ValueError("grid half-width must be positive")
-        if self.nodes < 2000:
-            raise ValueError("grid needs at least 2000 nodes")
+        if self.nodes < GRID_MIN_NODES:
+            raise ValueError(f"grid needs at least {GRID_MIN_NODES} nodes")
 
     @property
     def spacing(self) -> float:
@@ -92,13 +98,20 @@ class GridSpec:
 
 
 def default_grid(params: CknParams) -> GridSpec:
-    """4096-node grid wide enough for both the sech^2 well and the bubble tails.
+    """Cylinder grid wide enough for both the sech^2 well and the bubble tails,
+    with as many nodes as the bubble's narrowest scale needs.
 
     The bubble decays like e^(-(a_c-a)|t|), so the width scales with whichever
-    of 60/gamma and 30/(a_c-a) is larger.
+    of 60/gamma and 30/(a_c-a) is larger.  It varies on 1/gamma, and as p -> 1
+    its core narrows to about sqrt((p-1)/2)/gamma, so the node count is the
+    least power of two meeting GRID_H_TAIL and GRID_H_CORE, up to GRID_MAX_NODES.
     """
     half = max(60.0 / params.gamma, 30.0 / params.ac_minus_a)
-    return GridSpec(half_width=half, nodes=4096)
+    h_gamma = min(GRID_H_TAIL, GRID_H_CORE * math.sqrt((params.p - 1.0) / 2.0))
+    nodes = GRID_MIN_NODES
+    while nodes < GRID_MAX_NODES and 2.0 * half * params.gamma / (nodes - 1) > h_gamma:
+        nodes *= 2
+    return GridSpec(half_width=half, nodes=nodes)
 
 
 def psi(params: CknParams, t):

@@ -5,10 +5,21 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, roots_jacobi
 
-from cknlab.cylinder import ANGLE_NODES, CylinderFunction, GridMismatch, _angle_rule, combine, model_for, scale
+from cknlab import cylinder
+from cknlab.cylinder import (
+    ANGLE_NODES,
+    CylinderFunction,
+    CylinderModel,
+    GridMismatch,
+    _angle_rule,
+    combine,
+    model_for,
+    scale,
+)
 from cknlab.energy import rho02_h1_norm_sq
-from cknlab.extremals import psi_norms
+from cknlab.extremals import GridSpec, default_grid, psi, psi_norms
 from cknlab.params import felli_schneider, make_params
+from tests.conftest import sample_valid_params
 from tests.oracles import derivative_dot_h1_inner, lp1_norm, tensor_lp1_pow
 
 
@@ -82,6 +93,76 @@ def test_lp1_pow_keeps_one_full_size_array(params_remaining):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * full
+
+
+def _grid_rule_functions(model):
+    """The two-bubble pair at s gamma = 1.9, Psi + 0.2 rho10 and
+    Psi + 0.3 rho02 + 0.1 rho10, each bump that fraction of |Psi|_H1."""
+    params, t = model.params, model.t
+    half_s = 0.95 / params.gamma
+    pair = psi(params, t + half_s) + psi(params, t - half_s)
+    pair = model.function({0: model.sqrt_area * pair})
+    psi_f = model.psi_function()
+    r10, r02 = (
+        scale(b, math.sqrt(model.energy_psi / model.h1_inner(b, b)))
+        for b in (model.rho10_function(), model.rho02_function())
+    )
+    return [pair, combine([1.0, 0.2], [psi_f, r10]), combine([1.0, 0.3, 0.1], [psi_f, r02, r10])]
+
+
+def _quotient_value(model, v):
+    numerator, projection = model.quotient_parts(v)
+    return numerator / projection.distance_sq
+
+
+# criterion 10's points (p = 1.67 to 2.64), p = 1.73 and 5 at N = 3, the
+# 2048-node points p = 1.35 and 1.22, and p = 12.3, where h gamma sets the count
+@pytest.mark.parametrize(
+    "point",
+    [
+        (4, 0.5, 0.6),
+        (4, 0.0, 0.5),
+        (4, 0.0, 0.3),
+        (3, -0.4, 0.2),
+        (4, 0.0, 0.7),
+        (4, 0.0, 0.8),
+        (3, 0.3, 0.3),
+        (2, -0.1, 0.05),
+    ],
+)
+def test_default_grid_resolves_the_quotient(point, monkeypatch):
+    # the same window on 16384 nodes is the reference
+    params = make_params(*point)
+    model = CylinderModel(params)
+    monkeypatch.setattr(
+        cylinder, "default_grid", lambda prm: GridSpec(default_grid(prm).half_width, 16384)
+    )
+    fine = CylinderModel(params)
+    assert fine.grid.nodes == 16384 and fine.grid.half_width == model.grid.half_width
+    for v, w in zip(_grid_rule_functions(model), _grid_rule_functions(fine)):
+        reference = _quotient_value(fine, w)
+        assert _quotient_value(model, v) == pytest.approx(reference, rel=0.0, abs=1e-12)
+
+
+def test_default_grid_node_counts():
+    rng = np.random.default_rng(24)
+    near_one = 0
+    for _ in range(500):
+        params = sample_valid_params(rng, p_cap=30.0)
+        grid = default_grid(params)
+        assert grid.nodes in (1024, 2048, 4096)
+        # below the cap the spacing meets both bounds, and half the nodes would not
+        h_gamma = min(0.12, 0.25 * math.sqrt((params.p - 1.0) / 2.0))
+        if grid.nodes < 4096:
+            assert grid.spacing * params.gamma <= h_gamma
+        if grid.nodes > 1024:
+            assert 2.0 * grid.half_width / (grid.nodes // 2 - 1) * params.gamma > h_gamma
+        if params.p <= 1.05:
+            near_one += 1
+            assert grid.nodes == 4096
+    assert near_one > 0
+    with pytest.raises(ValueError, match="at least 1024 nodes"):
+        GridSpec(10.0, 1023)
 
 
 def test_h1_orthogonality_of_soft_modes(params_case2):

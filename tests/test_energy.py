@@ -62,6 +62,15 @@ def test_third_order_positive_across_gap_regions(rng):
         assert third_order_coefficient(params) > 0.0
 
 
+def test_third_order_positive_where_the_amplitude_overflows():
+    # p = 1.0035: the amplitude ((p+1)(a_c-a)^2/2)^(1/(p-1)) is past the double
+    # range, the moment is subnormal; the reference is the closed form at 50 digits
+    params = make_params(6, -1.5912638703736215, -0.5964609072071863)
+    with pytest.raises(OverflowError):
+        profile(params)
+    assert third_order_coefficient(params) == pytest.approx(7.5263483573837682619e-310, rel=1e-10)
+
+
 def test_rho02_moments_closed_forms(params_case2):
     d = params_case2.ac_minus_a
     p = params_case2.p
