@@ -33,7 +33,7 @@ from .energy import (
     two_bubble_quotient,
     zhat,
 )
-from .minimizer import dip_start, estimate_cbe, gap_start, minimize_quotient, quotient, random_start
+from .minimizer import dip_start, estimate_cbe, minimize_quotient, quotient, random_start
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "fbar",
     "felli_schneider",
     "gap_perturbation_quotient",
-    "gap_start",
     "generalized_eigenvalues",
     "generator_v",
     "make_params",

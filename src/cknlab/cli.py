@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON document to stdout; sweeps emit CSV rows (or
 a JSON array) with a fixed, documented column order.  Exit codes: 0 success,
-2 invalid parameters or an unreadable or malformed sweep config (the violated
-condition, missing or malformed key, or reason is named), 3 numerical failure.
+2 invalid parameters or options, or an unreadable or malformed sweep config
+(the violated condition, option, missing or malformed key, or reason is
+named), 3 numerical failure.
 A sweep writes every row even when some fail: a failed task leaves its cells
 empty, each failed row is reported as one JSON line on stderr, and the exit
 code is then 3.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .cylinder import combine, model_for
 from .extremals import profile, psi_norms
-from .params import CknParams, RegionClass, classify, curve_constants
+from .params import CknParams, InvalidParameters, RegionClass, classify, curve_constants
 from .specfun import beta, sphere_moments
 from .spectrum import eigenvalue_closed, spectral_gap
 
@@ -191,8 +191,8 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     decay exp(-2 gamma s/(p-1)), is rounding noise, as it is near p -> 1.
     """
     model = model_for(params)
-    if not s < model.grid.half_width / 2.0:
-        raise ValueError("two-bubble separation exceeds the search window")
+    if not 0.0 < s < model.grid.half_width / 2.0:
+        raise InvalidParameters("two-bubble separation must lie in (0, half the search window)")
     p = params.p
     v = model.two_bubble(s)
     numerator, projection = model.quotient_parts(v)
@@ -247,7 +247,7 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
     where the computed squared distance is not positive.
     """
     if not 0.0 < eps <= 0.2:
-        raise ValueError("eps must lie in (0, 0.2]")
+        raise InvalidParameters("eps must lie in (0, 0.2]")
     model = model_for(params)
     p = params.p
     v = combine([1.0, eps], [model.psi_function(), model.rho02_function()])

@@ -39,7 +39,7 @@ from .cylinder import (
 )
 from .energy import BoundsReport, bounds_report
 from .extremals import psi
-from .params import CknParams, RegionClass, classify
+from .params import CknParams, InvalidParameters
 
 __all__ = [
     "NoDescent",
@@ -48,7 +48,6 @@ __all__ = [
     "QuotientReport",
     "dip_start",
     "estimate_cbe",
-    "gap_start",
     "minimize_quotient",
     "quotient",
     "random_start",
@@ -88,7 +87,8 @@ class QuotientReport:
     ``gradient_norm`` is the H1 norm of the last gradient computed, and
     ``stop`` says why the descent ended: ``"gradient"`` (that norm reached the
     tolerance), ``"cap"`` (the iteration cap) or ``"stall"`` (the line search
-    found no descent).
+    found no descent); ``"limit"`` marks the gap limit of ``estimate_cbe``,
+    which no descent reached.
     """
 
     value: float
@@ -172,18 +172,6 @@ class _Objective:
         the correctness checks)."""
         lp1_pow, lp1_grads = self.model.lp1_pow(v, with_gradient=True)
         return self._numerator_grads(self.model.h1_gradient(v), lp1_pow, lp1_grads)
-
-
-def gap_start(model: CylinderModel, eps: float) -> tuple[str, CylinderFunction]:
-    """Psi plus the gap eigenfunction (rho10 in the Remaining region, rho02
-    elsewhere) scaled to eps |Psi|_H1, with its start label."""
-    if classify(model.params).region == RegionClass.REMAINING:
-        name, bump = "rho10", model.rho10_function()
-    else:
-        name, bump = "rho02", model.rho02_function()
-    norm = math.sqrt(model.h1_inner(bump, bump))
-    v = combine([1.0, eps * math.sqrt(model.energy_psi) / norm], [model.psi_function(), bump])
-    return f"gap-perturbation {name} eps={eps}", v
 
 
 def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
@@ -304,18 +292,6 @@ def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientR
     )
 
 
-def _best_descent(menu, max_iterations: int, best: QuotientReport | None = None):
-    """The least of ``best`` and the descents from ``menu``, labelled with its start."""
-    for label, start in menu:
-        try:
-            report = minimize_quotient(start, max_iterations)
-        except (NoDescent, OnManifold):
-            continue
-        if best is None or report.value < best.value:
-            best = replace(report, start=label)
-    return best
-
-
 def estimate_cbe(
     params: CknParams,
     starts: int = 2,
@@ -323,25 +299,46 @@ def estimate_cbe(
     max_iterations: int = 60,
 ) -> QuotientReport:
     """Multi-start quotient minimization; returns the best report, labelled
-    with its start.
+    with its start, or the gap bound where every descent ends above it.
 
     The start menu is a list of (label, function) pairs: the two-bubble dip
     (``dip_start``) and ``starts`` seeded random perturbations of Psi, each
     descended by ``minimize_quotient``; a start that raises NoDescent or
-    OnManifold is dropped.  In the Remaining region, where the dip can end above
-    the gap bound, ``gap_start(model, 0.02)`` follows unless the best so far is
-    below gap bound - 1e-3.  The exit value must respect
+    OnManifold is dropped.  Q(Psi + eps rho*) tends to the gap bound as
+    eps -> 0, so c_BE <= gap bound.  Where the best descent ends above it, the
+    report is that limit, labelled ``"gap limit"`` with ``stop="limit"``, no
+    step, and NaN distance, shift and gradient norm, since no function attains
+    it.  The coefficient c* of Q - gap bound ~ c* eps^2, which could put c_BE
+    below the bound, is not computed.  The exit value must respect
     0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a NumericalFailure is raised.
     """
+    if starts < 0:
+        raise InvalidParameters(f"starts >= 0 violated: {starts}")
     model = model_for(params)
     menu = [dip_start(model)] + [random_start(model, seed + k) for k in range(starts)]
-    best = _best_descent(menu, max_iterations)
-    if classify(params).region == RegionClass.REMAINING:
-        if best is None or best.value >= best.bounds.bound_gap - 1e-3:
-            best = _best_descent([gap_start(model, 0.02)], max_iterations, best)
+    best = None
+    for label, start in menu:
+        try:
+            report = minimize_quotient(start, max_iterations)
+        except (NoDescent, OnManifold):
+            continue
+        if best is None or report.value < best.value:
+            best = replace(report, start=label)
     if best is None:
         raise NumericalFailure("no start produced a usable minimization")
     bounds = best.bounds
+    if best.value > bounds.bound_gap:
+        best = QuotientReport(
+            value=bounds.bound_gap,
+            distance_sq=math.nan,
+            shift=math.nan,
+            bounds=bounds,
+            iterations=0,
+            gradient_norm=math.nan,
+            trace=(),
+            start="gap limit",
+            stop="limit",
+        )
     ceiling = min(bounds.bound_gap, bounds.bound_two_bubble) + 1e-3
     if not 0.0 < best.value <= ceiling:
         raise NumericalFailure(f"best quotient {best.value} escaped its bound {ceiling}")

@@ -265,9 +265,30 @@ def test_minimize_remaining_point_where_the_dip_ends_above_the_gap():
     code, out = run_cli(["minimize", "5", "0", "0.125", "--starts", "1"])
     assert code == 0, out
     doc = json.loads(out)
-    assert doc["start"].startswith("gap-perturbation rho10")
+    assert doc["start"] == "gap limit"
     bounds = doc["bounds"]
+    assert doc["q_best"] == bounds["bound_gap"]
     assert 0.0 < doc["q_best"] <= min(bounds["bound_gap"], bounds["bound_two_bubble"]) + 1e-3
+    # no function attains the limit
+    assert (doc["distance_sq"], doc["shift"], doc["gradient_norm"]) == (None, None, None)
+    assert (doc["iterations"], doc["trace"]) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["energy", "4", "0", "0.5", "--eps", "0.5"], "eps"),
+        (["energy", "4", "0", "0.5", "--s", "1000"], "separation"),
+        (["energy", "4", "0", "0.5", "--s", "-3"], "separation"),
+        (["minimize", "4", "0", "0.5", "--starts", "-2"], "starts"),
+    ],
+)
+def test_out_of_range_option_exits_2(argv, named):
+    code, out = run_cli(argv)
+    assert code == 2, out
+    doc = json.loads(out)
+    assert doc["kind"] == "InvalidParameters"
+    assert named in doc["error"]
 
 
 @pytest.mark.parametrize("b", ["0.98", "0.9728"])

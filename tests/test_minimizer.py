@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cknlab.cylinder import combine, model_for, scale
+from cknlab.energy import zhat
 from cknlab.minimizer import (
     EVEN_TOL,
     NumericalFailure,
@@ -10,14 +13,20 @@ from cknlab.minimizer import (
     _Objective,
     dip_start,
     estimate_cbe,
-    gap_start,
     minimize_quotient,
     quotient,
     random_start,
 )
 from cknlab.params import make_params
 from cknlab.spectrum import spectral_gap
+from tests.conftest import sample_valid_params
 from tests.oracles import neg_laplacian
+
+
+def psi_plus(model, bump, eps):
+    """Psi plus ``bump`` scaled to eps |Psi|_H1."""
+    norm = math.sqrt(model.h1_inner(bump, bump))
+    return combine([1.0, eps * math.sqrt(model.energy_psi) / norm], [model.psi_function(), bump])
 
 
 def test_quotient_near_gap_eigenfunction(params_case2):
@@ -157,7 +166,8 @@ def test_numerator_gradient_rows_follow_degrees(params_case2, rng, layout):
 
 
 def test_descent_trace_is_monotone(params_case2):
-    report = minimize_quotient(gap_start(model_for(params_case2), 0.05)[1], 30)
+    model = model_for(params_case2)
+    report = minimize_quotient(psi_plus(model, model.rho02_function(), 0.05), 30)
     values = [q for _, q in report.trace]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
     assert report.value <= values[0]
@@ -187,7 +197,8 @@ def test_minimize_deterministic_under_seed(params_case2):
 
 
 def test_minimize_case2_gap_start(params_case2):
-    report = minimize_quotient(gap_start(model_for(params_case2), 0.05)[1], 60)
+    model = model_for(params_case2)
+    report = minimize_quotient(psi_plus(model, model.rho02_function(), 0.05), 60)
     gap = spectral_gap(params_case2).lambda_star
     assert 0.0 < report.value <= gap + 1e-3
 
@@ -199,7 +210,8 @@ def test_minimize_two_bubble_start(params_case2):
 
 
 def test_minimize_remaining_region_stays_above_gap(params_remaining):
-    report = minimize_quotient(gap_start(model_for(params_remaining), 0.05)[1], 60)
+    model = model_for(params_remaining)
+    report = minimize_quotient(psi_plus(model, model.rho10_function(), 0.05), 60)
     gap = spectral_gap(params_remaining).lambda_star
     values = [q for _, q in report.trace]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
@@ -222,6 +234,34 @@ def test_estimate_cbe_within_bounds_where_the_dip_ends_above_the_gap(point):
     report = estimate_cbe(make_params(*point), starts=1, seed=7)
     ceiling = min(report.bounds.bound_gap, report.bounds.bound_two_bubble) + 1e-3
     assert 0.0 < report.value <= ceiling
+
+
+# Remaining points where the best descent ends above the gap bound, one where
+# the dip descent ends 0.0073 below it, and the first draws of a fixed sample
+_RNG = np.random.default_rng(2026)
+_LIMIT_POINTS = [
+    (5, 0.0, 0.125),
+    (2, -1.0019, -0.2218),
+    (4, -0.4001, 0.0039),
+    (6, 0.2117, 0.3795),
+    (4, 0.0, 0.24),
+    (4, 0.0, 0.26),
+] + [(q.N, q.a, q.b) for q in (sample_valid_params(_RNG, region="Remaining") for _ in range(3))]
+
+
+@pytest.mark.parametrize("point", _LIMIT_POINTS)
+def test_estimate_cbe_never_reports_above_the_gap_bound(point):
+    # Q(Psi + eps rho*) -> gap bound as eps -> 0, so c_BE <= gap bound
+    params = make_params(*point)
+    report = estimate_cbe(params, starts=1, seed=7)
+    assert report.value <= report.bounds.bound_gap
+    if report.stop == "limit":
+        assert report.value == report.bounds.bound_gap
+        assert (report.start, report.iterations, report.trace) == ("gap limit", 0, ())
+        assert math.isnan(report.distance_sq) and math.isnan(report.shift)
+        assert math.isnan(report.gradient_norm)
+        # Q approaches the bound from above along Psi + eps rho10
+        assert zhat(params).value_variational < 0.0
 
 
 def test_estimate_cbe_deterministic(params_case2):
