@@ -6,74 +6,42 @@ bubbles, linearization spectra, gap constants, energy-expansion coefficients),
 cross-checks each against independent numerical oracles, and minimizes the
 stability quotient on the cylinder to probe the optimal constant against its
 proved upper bounds.
+
+Each exported name loads its module on first use (PEP 562), so the closed
+forms run without importing numpy.
 """
 
-from .params import (
-    CknParams,
-    DegenerateBoundary,
-    InvalidParameters,
-    ParameterError,
-    RegionClass,
-    classify,
-    curve_constants,
-    felli_schneider,
-    make_params,
-)
-from .extremals import GridSpec, bubble_w, generator_v, optimal_constant, psi, psi_norms, psi_prime
-from .spectrum import eigenvalue_closed, rho_02, rho_10, spectral_gap
-from .eig_oracle import generalized_eigenvalues, rayleigh_gap_check
-from .cylinder import CylinderFunction, CylinderModel, model_for
-from .energy import (
-    a0_coefficient,
-    appendix_report,
-    bounds_report,
-    fbar,
-    gap_perturbation_quotient,
-    third_order_coefficient,
-    two_bubble_quotient,
-    zhat,
-)
-from .minimizer import dip_start, estimate_cbe, minimize_quotient, quotient, random_start
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CknParams",
-    "CylinderFunction",
-    "CylinderModel",
-    "DegenerateBoundary",
-    "GridSpec",
-    "InvalidParameters",
-    "ParameterError",
-    "RegionClass",
-    "a0_coefficient",
-    "appendix_report",
-    "bounds_report",
-    "bubble_w",
-    "classify",
-    "curve_constants",
-    "dip_start",
-    "eigenvalue_closed",
-    "estimate_cbe",
-    "fbar",
-    "felli_schneider",
-    "gap_perturbation_quotient",
-    "generalized_eigenvalues",
-    "generator_v",
-    "make_params",
-    "minimize_quotient",
-    "model_for",
-    "optimal_constant",
-    "psi",
-    "psi_norms",
-    "psi_prime",
-    "quotient",
-    "random_start",
-    "rayleigh_gap_check",
-    "rho_02",
-    "rho_10",
-    "spectral_gap",
-    "third_order_coefficient",
-    "two_bubble_quotient",
-    "zhat",
-]
+# the module that defines each exported name
+_HOMES = {
+    name: module
+    for module, names in (
+        ("params", "CknParams DegenerateBoundary InvalidParameters ParameterError RegionClass "
+                   "classify curve_constants felli_schneider make_params"),
+        ("extremals", "GridSpec bubble_w generator_v optimal_constant psi psi_norms psi_prime"),
+        ("spectrum", "eigenvalue_closed rho_02 rho_10 spectral_gap"),
+        ("eig_oracle", "generalized_eigenvalues rayleigh_gap_check"),
+        ("cylinder", "CylinderFunction CylinderModel model_for"),
+        ("energy", "a0_coefficient appendix_report bounds_report fbar gap_perturbation_quotient "
+                   "third_order_coefficient two_bubble_quotient zhat"),
+        ("minimizer", "dip_start estimate_cbe minimize_quotient quotient random_start"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

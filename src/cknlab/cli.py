@@ -23,16 +23,17 @@ import sys
 from enum import Enum
 from typing import Any
 
-import numpy as np
-
-from . import energy, minimizer, spectrum
-from .cylinder import SearchFailure
+from . import energy, spectrum
 from .params import (
     CknParams,
     DegenerateBoundary,
     InvalidParameters,
+    NoDescent,
+    NumericalFailure,
+    OnManifold,
     ParameterError,
     RegionReport,
+    SearchFailure,
     classify,
     felli_schneider,
     make_params,
@@ -53,13 +54,7 @@ SWEEP_COLUMNS = {
 
 # failures of a computation at a valid parameter point: exit code 3, and an
 # empty task in a sweep row
-NUMERICAL_ERRORS = (
-    minimizer.NumericalFailure,
-    minimizer.NoDescent,
-    minimizer.OnManifold,
-    SearchFailure,
-    ArithmeticError,
-)
+NUMERICAL_ERRORS = (NumericalFailure, NoDescent, OnManifold, SearchFailure, ArithmeticError)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -67,9 +62,10 @@ def _jsonable(obj: Any) -> Any:
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
+    if np is not None and isinstance(obj, np.ndarray):
         return [float(x) for x in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -139,6 +135,8 @@ def _energy_fields(params: CknParams, report: RegionReport, args) -> dict:
 
 
 def _minimize_fields(params: CknParams, report: RegionReport, args) -> dict:
+    from . import minimizer
+
     best = minimizer.estimate_cbe(params, starts=args.starts, seed=args.seed)
     return {
         "q_best": best.value,
@@ -181,6 +179,8 @@ def _zhat_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
 
 
 def _minimize_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+    from . import minimizer
+
     best = minimizer.estimate_cbe(params, starts=1, seed=seed)
     return best.value, best.iterations, best.start
 
@@ -263,7 +263,9 @@ def _object(config: dict, key: str) -> dict:
     return spec
 
 
-def _axis(spec: dict, name: str) -> np.ndarray:
+def _axis(spec: dict, name: str):
+    import numpy as np
+
     steps = _integer(spec.get("steps", 0), f"{name}.steps")
     if steps < 1:
         raise InvalidParameters(f"{name}.steps >= 1 violated")

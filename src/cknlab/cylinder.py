@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .extremals import GridSpec, default_grid, psi, psi_prime
-from .params import CknParams
+from .params import CknParams, SearchFailure
 from .spectrum import rho_02, rho_10_profile
 from .specfun import sphere_area
 
@@ -64,10 +64,6 @@ SHIFT_ITERATIONS = 100
 
 class GridMismatch(ValueError):
     """Operands live on different grids or parameter points."""
-
-
-class SearchFailure(RuntimeError):
-    """The shift search for the manifold projection did not converge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +181,11 @@ class CylinderModel:
         p = params.p
         # calibrated constants: the grid problem reproduces the variational
         # identities exactly, so the bubble itself is at distance zero
-        self.lp1_pow_psi = self.area * self.h * float(np.sum(self.psi_values ** (p + 1.0)))
+        lp1 = self.area * self.h * float(np.sum(self.psi_values ** (p + 1.0)))
+        # near p -> 1 the amplitude can leave the double range so far that the
+        # integral of Psi^(p+1) underflows to zero or overflows; it is then NaN,
+        # and so is every constant and quotient
+        self.lp1_pow_psi = lp1 if 0.0 < lp1 < math.inf else math.nan
         self.energy_psi = self.h1_inner(self.psi_function(), self.psi_function())
         self.c_inv = self.energy_psi / self.lp1_pow_psi ** (2.0 / (p + 1.0))
         # divided twice: lp1_pow_psi squared leaves the double range near p -> 1

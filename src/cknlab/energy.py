@@ -28,8 +28,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cylinder import combine, model_for
-from .extremals import profile, psi_norms
 from .params import CknParams, InvalidParameters, RegionClass, classify, curve_constants
 from .specfun import beta, sphere_moments
 from .spectrum import eigenvalue_closed, spectral_gap
@@ -54,6 +52,33 @@ __all__ = [
 
 # predicted two-bubble deficits under this many eps * bound are rounding noise
 DEFICIT_NOISE = 1e3
+_LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _log_amplitude(params: CknParams) -> float:
+    """log of the bubble amplitude ((p+1)(a_c-a)^2/2)^(1/(p-1)), which itself
+    leaves the double range near p -> 1."""
+    return math.log((params.p + 1.0) * params.ac_minus_a**2 / 2.0) / (params.p - 1.0)
+
+
+def _exp(log_value: float) -> float:
+    """exp(log_value), or NaN where it overflows the double range; below the
+    range it flushes to zero, as a product of doubles does."""
+    return math.exp(log_value) if log_value < _LOG_MAX else math.nan
+
+
+def _scaled(x: float, log_scale: float) -> float:
+    """x exp(log_scale) through logarithms, with ``_exp``'s range rule."""
+    return math.copysign(_exp(math.log(abs(x)) + log_scale), x) if x else x
+
+
+def _ratio(x: float, y: float) -> float:
+    """x / y, or NaN where y is not positive or the ratio overflows: near
+    p -> 1 a computed squared distance can cancel to zero or below, and the
+    quotient is then undefined."""
+    ratio = x / y if 0.0 < y < math.inf else math.nan
+    return ratio if math.isfinite(ratio) else math.nan
 
 
 @dataclass(frozen=True)
@@ -84,6 +109,18 @@ def bounds_report(params: CknParams) -> BoundsReport:
     )
 
 
+def _log_third_order(params: CknParams) -> float:
+    p, g = params.p, params.gamma
+    m = (p + 1.0) / (p - 1.0)
+    constant = 2.0 * (p + 1.0) * p**3 * (p + 3.0) / (g * (7.0 * p - 3.0) * (5.0 * p - 1.0))
+    return (
+        math.log(constant * sphere_moments(params.N).area)
+        + (p - 2.0) * _log_amplitude(params)
+        + math.lgamma(m) + math.lgamma(0.5) - math.lgamma(m + 0.5)
+        - 3.0 * math.log(p - 1.0)
+    )
+
+
 def third_order_coefficient(params: CknParams) -> float:
     """Cubic moment <Psi^(p-2), rho_02^3> over the cylinder, in closed form.
 
@@ -94,33 +131,21 @@ def third_order_coefficient(params: CknParams) -> float:
         * amplitude^(p-2) * |S^(N-1)| * B((p+1)/(p-1), 1/2)
         * (p-1)^3 (p+3),
 
-    strictly positive for p > 1.  The amplitude power goes through its
-    logarithm: as p -> 1 the amplitude overflows while this moment does not.
+    strictly positive for p > 1.  It goes through its logarithm, since as
+    p -> 1 the amplitude leaves the double range while the moment need not;
+    NaN where the moment itself overflows.
     """
-    p, g = params.p, params.gamma
-    m = (p + 1.0) / (p - 1.0)
-    log_amp = math.log((p + 1.0) * params.ac_minus_a**2 / 2.0) / (p - 1.0)
-    log_tail = (p - 2.0) * log_amp + math.lgamma(m) + math.lgamma(0.5) - math.lgamma(m + 0.5)
-    return (
-        2.0
-        * (p + 1.0)
-        * p**3
-        * (p + 3.0)
-        / (g * (7.0 * p - 3.0) * (5.0 * p - 1.0))
-        * sphere_moments(params.N).area
-        * math.exp(log_tail - 3.0 * math.log(p - 1.0))
-    )
+    return _exp(_log_third_order(params))
 
 
 def rho02_weighted_moment(params: CknParams) -> float:
     """<Psi^(p-1), rho_02^2> in closed form."""
     p, g = params.p, params.gamma
-    amp = profile(params).amplitude
     return (
         p**2
         * (p + 1.0)
         / (g * (p - 1.0) ** 2 * (5.0 * p - 1.0))
-        * amp ** (p - 1.0)
+        * (p + 1.0) * params.ac_minus_a**2 / 2.0  # amplitude^(p-1), exactly
         * sphere_moments(params.N).area
         * beta((p + 1.0) / (p - 1.0), 0.5)
     )
@@ -130,6 +155,16 @@ def rho02_h1_norm_sq(params: CknParams) -> float:
     """|rho_02|_H1^2 via the eigen-identity |rho|^2 = lambda_02 p <Psi^(p-1), rho^2>."""
     lam = eigenvalue_closed(params, 0, 2).lam
     return lam * params.p * rho02_weighted_moment(params)
+
+
+def _log_a0(params: CknParams) -> float:
+    p, g = params.p, params.gamma
+    return (
+        (p + 1.0) * _log_amplitude(params)
+        + math.log(sphere_moments(params.N).area)
+        + (p + 3.0) / (p - 1.0) * _LN2
+        + math.log((p - 1.0) / (g * (p + 1.0)))
+    )
 
 
 def a0_coefficient(params: CknParams) -> float:
@@ -144,22 +179,10 @@ def a0_coefficient(params: CknParams) -> float:
     the 2^(2/(p-1)) factor is the bubble tail amplitude and the surface area
     closes the cylinder integral, so that the two-bubble norm expansion
     |Psi + Psi_s|_H1^2 = 2 |Psi|_H1^2 + 2 A0 e^(-2 gamma s/(p-1)) + ...
-    holds numerically with coefficient exactly A0.  Raises ``OverflowError``
-    where A0 leaves the double range, which happens near p -> 1.
+    holds numerically with coefficient exactly A0.  Evaluated through its
+    logarithm; NaN where A0 overflows the double range, as it can near p -> 1.
     """
-    p, g = params.p, params.gamma
-    tail = 2.0 ** ((p + 3.0) / (p - 1.0)) * (p - 1.0) / (g * (p + 1.0))
-    a0 = profile(params).amplitude ** (p + 1.0) * sphere_moments(params.N).area * tail
-    if not math.isfinite(a0):
-        raise OverflowError(f"A0 overflows the double range at p = {p!r}")
-    return a0
-
-
-def _quotient_value(numerator: float, dist_sq: float) -> float:
-    """numerator / dist_sq, or NaN where the computed squared distance is not
-    positive: near p -> 1 the cancellation in |v|_H1^2 - kappa <v, Psi>^2 can
-    leave it at or below zero, and the quotient is then undefined."""
-    return numerator / dist_sq if 0.0 < dist_sq < math.inf else math.nan
+    return _exp(_log_a0(params))
 
 
 @dataclass(frozen=True)
@@ -189,7 +212,11 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     display variant 2 A0 C^(2/(p-1)) is reported alongside for comparison.
     ``deficit_rate`` is NaN where the predicted deficit, that rate times the
     decay exp(-2 gamma s/(p-1)), is rounding noise, as it is near p -> 1.
+    Both rates go through logarithms, and a value that overflows the double
+    range, or rests on a squared distance that is not positive, is NaN.
     """
+    from .cylinder import model_for
+
     model = model_for(params)
     if not 0.0 < s < model.grid.half_width / 2.0:
         raise InvalidParameters("two-bubble separation must lie in (0, half the search window)")
@@ -197,16 +224,21 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     v = model.two_bubble(s)
     numerator, projection = model.quotient_parts(v)
     dist_sq = projection.distance_sq
-    value = _quotient_value(numerator, dist_sq)
+    value = _ratio(numerator, dist_sq)
     bounds = bounds_report(params)
-    a0 = a0_coefficient(params)
-    energy = psi_norms(params).h1_sq
-    c_inv = energy ** ((p - 1.0) / (p + 1.0))
-    rate_derived = 2.0 * (2.0 ** (2.0 / (p + 1.0)) - 1.0) * a0 / energy
-    rate_display = 2.0 * a0 * c_inv ** (-2.0 / (p - 1.0))
-    decay = math.exp(-2.0 * params.gamma * s / (p - 1.0))
+    log_a0 = _log_a0(params)
+    # A0/|Psi|_H1^2 = 2^((p+3)/(p-1)) (p-1)/((p+1) B((p+1)/(p-1), 1/2)): no amplitude
+    log_a0_over_energy = (p + 3.0) / (p - 1.0) * _LN2 + math.log(
+        (p - 1.0) / ((p + 1.0) * beta((p + 1.0) / (p - 1.0), 0.5))
+    )
+    log_rate = math.log(2.0 * (2.0 ** (2.0 / (p + 1.0)) - 1.0)) + log_a0_over_energy
+    # C^(2/(p-1)) = |Psi|_H1^(-4/(p+1))
+    log_rate_display = _LN2 + log_a0 - 2.0 / (p + 1.0) * (log_a0 - log_a0_over_energy)
+    log_decay = -2.0 * params.gamma * s / (p - 1.0)
+    predicted_deficit = _exp(log_rate + log_decay)
     deficit = bounds.bound_two_bubble - value
     noise = DEFICIT_NOISE * sys.float_info.epsilon * bounds.bound_two_bubble
+    measured_rate = _ratio(deficit, math.exp(log_decay)) if predicted_deficit >= noise else math.nan
     return TwoBubbleReport(
         s=s,
         value=value,
@@ -214,13 +246,13 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
         shift=projection.shift,
         numerator=numerator,
         bounds=bounds,
-        a0=a0,
+        a0=_exp(log_a0),
         deficit=deficit,
-        deficit_rate=deficit / decay if rate_derived * decay >= noise else math.nan,
-        predicted_deficit_rate=rate_derived,
-        predicted_deficit_rate_display=rate_display,
-        predicted_value=bounds.bound_two_bubble - rate_derived * decay,
-        dist_ratio=dist_sq / model.energy_psi,
+        deficit_rate=measured_rate,
+        predicted_deficit_rate=_exp(log_rate),
+        predicted_deficit_rate_display=_exp(log_rate_display),
+        predicted_value=bounds.bound_two_bubble - predicted_deficit,
+        dist_ratio=_ratio(dist_sq, model.energy_psi),
     )
 
 
@@ -244,8 +276,11 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
     The epsilon -> 0 limit is the radial gap value (lambda_02 - 1)/lambda_02,
     which equals the gap constant in CaseI/CaseII; the slope is
     p(p-1)/3 * <Psi^(p-2), rho_02^3> / |rho_02|_H1^2.  ``value`` is NaN
-    where the computed squared distance is not positive.
+    where the computed squared distance is not positive, and the slope where
+    it overflows the double range.
     """
+    from .cylinder import combine, model_for
+
     if not 0.0 < eps <= 0.2:
         raise InvalidParameters("eps must lie in (0, 0.2]")
     model = model_for(params)
@@ -253,10 +288,10 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
     v = combine([1.0, eps], [model.psi_function(), model.rho02_function()])
     numerator, projection = model.quotient_parts(v)
     dist_sq = projection.distance_sq
-    value = _quotient_value(numerator, dist_sq)
+    value = _ratio(numerator, dist_sq)
     lam02 = eigenvalue_closed(params, 0, 2).lam
     limit = (lam02 - 1.0) / lam02
-    slope = p * (p - 1.0) / 3.0 * third_order_coefficient(params) / rho02_h1_norm_sq(params)
+    slope = _scaled(p * (p - 1.0) / 3.0 / rho02_h1_norm_sq(params), _log_third_order(params))
     return GapPerturbationReport(
         eps=eps,
         value=value,
@@ -293,7 +328,6 @@ class ZhatReport:
 def zhat(params: CknParams) -> ZhatReport:
     p, g, d = params.p, params.gamma, params.ac_minus_a
     n_dim = params.N
-    amp = profile(params).amplitude
     moments = sphere_moments(n_dim)
     area, d_n = moments.area, moments.d_n
     k1 = math.sqrt(params.tau(1)) / g
@@ -303,33 +337,28 @@ def zhat(params: CknParams) -> ZhatReport:
     b3 = beta((p + 1.0) / (p - 1.0), 0.5)
 
     # amp^(p-1) = (p+1) d^2/2 exactly, and |Psi|_H1^2 = amp^(p+1) |S| b3/gamma, so
-    # moment2^2/|Psi|_H1^2 = amp^(p-3) second^2 b2^2/(gamma |S| b3) with no amp^(p+1)
-    moment4 = amp ** (p - 3.0) * moments.fourth / g * b1
-    moment2 = (p + 1.0) * d * d / 2.0 * moments.second / g * b2
-    moment2_sq_over_energy = amp ** (p - 3.0) * moments.second**2 * b2 * b2 / (g * area * b3)
-
-    value_var = (
-        p * (p - 1.0) * (p - 2.0) / 12.0 * moment4
-        - (p - 1.0) * p**2 / 4.0 * moment2_sq_over_energy
+    # moment2^2/|Psi|_H1^2 = amp^(p-3) second^2 b2^2/(gamma |S| b3) with no amp^(p+1);
+    # amp^(p-3), which leaves the double range near p -> 1, goes as its logarithm
+    log_scale = (p - 3.0) * _log_amplitude(params)
+    value_var = _scaled(
+        p * (p - 1.0) * (p - 2.0) / 12.0 * moments.fourth / g * b1
+        - (p - 1.0) * p**2 / 4.0 * moments.second**2 * b2 * b2 / (g * area * b3),
+        log_scale,
     )
     # display convention: the quartic recombined with the surface-area-free
-    # closed form of the optimal constant; (p-2) is kept inside the bracket so
-    # the product stays finite across p = 2
-    prefactor_core = (
-        d ** ((p - 5.0) / (p - 1.0))
-        * (p * area / (2.0 * n_dim * (n_dim + 2.0)))
-        * ((p + 1.0) / 2.0) ** ((p - 3.0) / (p - 1.0))
-    )
-    value_display = prefactor_core * ((p - 2.0) * b1 - p * d_n * b2 * b2 / b3)
+    # closed form of the optimal constant, whose prefactor is
+    # d^((p-5)/(p-1)) ((p+1)/2)^((p-3)/(p-1)) p |S|/(2N(N+2)) = amp^(p-3) p |S|/(2N(N+2) d);
+    # (p-2) is kept inside the bracket so the product stays finite across p = 2
+    log_prefactor = log_scale + math.log(p * area / (2.0 * n_dim * (n_dim + 2.0)) / d)
     pole = abs(p - 2.0) < 1e-9
     bracket = math.nan if pole else b1 - p * d_n * b2 * b2 / ((p - 2.0) * b3)
     return ZhatReport(
-        value=value_display,
+        value=_scaled((p - 2.0) * b1 - p * d_n * b2 * b2 / b3, log_prefactor),
         value_variational=value_var,
-        prefactor=prefactor_core * (p - 2.0),
+        prefactor=_scaled(p - 2.0, log_prefactor),
         bracket=bracket,
-        moment4=moment4,
-        moment2=moment2,
+        moment4=_scaled(moments.fourth / g * b1, log_scale),
+        moment2=(p + 1.0) * d * d / 2.0 * moments.second / g * b2,
         q_star=params.q_star,
         d_n=d_n,
         pole_flag=pole,
@@ -379,5 +408,6 @@ def appendix_report(params: CknParams) -> AppendixReport:
         p_above_2=params.p > 2.0,
         zhat=z,
         fbar_at_p=fbar(params, params.p),
-        sign_negative=bool(z.value < 0.0),
+        # the sign of the scale-free bracket, (p-2) bracket away from the pole
+        sign_negative=bool(z.pole_flag or (params.p - 2.0) * z.bracket < 0.0),
     )

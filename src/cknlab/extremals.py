@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import CknParams
 from .specfun import beta, log_cosh, sphere_area
 
@@ -93,7 +91,9 @@ class GridSpec:
     def spacing(self) -> float:
         return 2.0 * self.half_width / (self.nodes - 1)
 
-    def t(self) -> np.ndarray:
+    def t(self):
+        import numpy as np
+
         return np.linspace(-self.half_width, self.half_width, self.nodes)
 
 
@@ -116,17 +116,23 @@ def default_grid(params: CknParams) -> GridSpec:
 
 def psi(params: CknParams, t):
     """Cylinder bubble Psi(t); vectorized and overflow-safe."""
+    import numpy as np
+
     amp = profile(params).amplitude
     return amp * np.exp(-(2.0 / (params.p - 1.0)) * log_cosh(params.gamma * t))
 
 
 def psi_prime(params: CknParams, t):
     """d/dt Psi(t) = -(a_c-a) tanh(gamma t) Psi(t)."""
+    import numpy as np
+
     return -params.ac_minus_a * np.tanh(params.gamma * t) * psi(params, t)
 
 
 def bubble_w(params: CknParams, x_radius):
     """Euclidean radial extremal W(|x|) for |x| >= 0."""
+    import numpy as np
+
     r = np.asarray(x_radius, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radius must be nonnegative")
@@ -137,6 +143,8 @@ def bubble_w(params: CknParams, x_radius):
 
 def bubble_w_prime(params: CknParams, x_radius):
     """Radial derivative W'(|x|)."""
+    import numpy as np
+
     r = np.asarray(x_radius, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
@@ -151,6 +159,8 @@ def generator_v(params: CknParams, x_radius):
 
     Spans the kernel of the linearized equation; its cylinder image is -Psi'.
     """
+    import numpy as np
+
     r = np.asarray(x_radius, dtype=float)
     return r * bubble_w_prime(params, r) + params.ac_minus_a * bubble_w(params, r)
 

@@ -39,7 +39,7 @@ from .cylinder import (
 )
 from .energy import BoundsReport, bounds_report
 from .extremals import psi
-from .params import CknParams, InvalidParameters
+from .params import CknParams, InvalidParameters, NoDescent, NumericalFailure, OnManifold
 
 __all__ = [
     "NoDescent",
@@ -66,18 +66,6 @@ EVEN_TOL = 1e-12
 RANDOM_AMPLITUDE = 0.05
 # separations s * gamma of the two-bubble dip scan
 DIP_SEPARATIONS = np.arange(5, 61) / 10.0
-
-
-class OnManifold(RuntimeError):
-    """The function is (numerically) a scaled shifted bubble; Q is undefined."""
-
-
-class NoDescent(RuntimeError):
-    """Line search failed on the very first iterate."""
-
-
-class NumericalFailure(RuntimeError):
-    """A result violated its guaranteed bound."""
 
 
 @dataclass(frozen=True)

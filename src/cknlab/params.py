@@ -25,9 +25,13 @@ __all__ = [
     "CurveConstants",
     "DegenerateBoundary",
     "InvalidParameters",
+    "NoDescent",
+    "NumericalFailure",
+    "OnManifold",
     "ParameterError",
     "RegionClass",
     "RegionReport",
+    "SearchFailure",
     "classify",
     "curve_constants",
     "felli_schneider",
@@ -48,6 +52,24 @@ class InvalidParameters(ParameterError):
 
 class DegenerateBoundary(ParameterError):
     """The point sits on the symmetry-breaking curve b = b_FS(a)."""
+
+
+# failures of a computation at a valid point, raised by the cylinder and
+# minimizer modules; defined here so that naming them loads neither
+class SearchFailure(RuntimeError):
+    """The shift search for the manifold projection did not converge."""
+
+
+class OnManifold(RuntimeError):
+    """The function is (numerically) a scaled shifted bubble; Q is undefined."""
+
+
+class NoDescent(RuntimeError):
+    """Line search failed on the very first iterate."""
+
+
+class NumericalFailure(RuntimeError):
+    """A result violated its guaranteed bound."""
 
 
 class RegionClass(str, Enum):

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "beta",
     "cosh_power_integral",
@@ -85,6 +83,8 @@ def jacobi_polynomial(j: int, exponent: float, y):
         raise ValueError("polynomial degree must be nonnegative")
     if exponent <= 0.0:
         raise ValueError("exponent must be positive")
+    import numpy as np
+
     arr = np.asarray(y, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-12):
         raise ValueError("jacobi_polynomial expects |y| <= 1")
@@ -133,6 +133,8 @@ def sphere_moments(n_dim: int) -> SphereMoments:
 
 def log_cosh(x):
     """log(cosh(x)), overflow-safe for large |x|."""
+    import numpy as np
+
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
 

@@ -23,23 +23,17 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .extremals import bubble_half_width
 from .params import CknParams, RegionClass, classify
-from .specfun import integrate_line, jacobi_polynomial, log_cosh
+from .specfun import jacobi_polynomial, log_cosh
 
 __all__ = [
     "GapReport",
-    "OrthogonalityReport",
     "SpectralPoint",
     "comparison_functions",
     "eigenfunction",
     "eigenvalue_closed",
     "harmonic_multiplicity",
-    "orthogonality_check",
     "rho_02",
-    "rho_02_prime",
     "rho_10",
     "rho_10_profile",
     "spectral_gap",
@@ -161,6 +155,8 @@ def spectral_gap(params: CknParams) -> GapReport:
 
 
 def _eigenfunction_raw(params: CknParams, i: int, j: int, t):
+    import numpy as np
+
     k = math.sqrt(params.tau(i)) / params.gamma
     y = np.tanh(params.gamma * np.asarray(t, dtype=float))
     return jacobi_polynomial(j, k, y) * np.exp(-k * log_cosh(params.gamma * np.asarray(t)))
@@ -193,40 +189,26 @@ def eigenfunction(params: CknParams, i: int, j: int, t):
     return _eigenfunction_raw(params, i, j, t) / _eigenfunction_norm(params, i, j)
 
 
-def _unit_envelope(params: CknParams, t):
-    """cosh(gamma t)^(-2/(p-1)), the bubble Psi over its amplitude."""
-    return np.exp(-(2.0 / (params.p - 1.0)) * log_cosh(params.gamma * t))
-
-
 def rho_02(params: CknParams, t):
     """Second radial eigenfunction in its explicit normalization:
 
     rho(t) = p cosh(gamma t)^(-2/(p-1)) / (4(p-1)^2)
              * (4(p+1) - (6p+2) sech^2(gamma t)).
     """
+    import numpy as np
+
     p, g = params.p, params.gamma
     t = np.asarray(t, dtype=float)
     sech_sq = 1.0 / np.cosh(g * t) ** 2
-    envelope = _unit_envelope(params, t)
+    envelope = np.exp(-(2.0 / (p - 1.0)) * log_cosh(g * t))  # Psi over its amplitude
     return p * envelope / (4.0 * (p - 1.0) ** 2) * (4.0 * (p + 1.0) - (6.0 * p + 2.0) * sech_sq)
-
-
-def rho_02_prime(params: CknParams, t):
-    """Analytic t-derivative of rho_02."""
-    p, g = params.p, params.gamma
-    t = np.asarray(t, dtype=float)
-    th = np.tanh(g * t)
-    sech_sq = 1.0 - th * th
-    envelope = _unit_envelope(params, t)
-    bracket = 4.0 * (p + 1.0) - (6.0 * p + 2.0) * sech_sq
-    d_envelope = -(2.0 * g / (p - 1.0)) * th * envelope
-    d_bracket = (6.0 * p + 2.0) * 2.0 * g * th * sech_sq
-    return p / (4.0 * (p - 1.0) ** 2) * (d_envelope * bracket + envelope * d_bracket)
 
 
 def rho_10_profile(params: CknParams, t):
     """Axis profile cosh(gamma t)^(-sqrt(tau_1)/gamma) of the degree-one
     ground state; multiplies a raw coordinate function theta_l."""
+    import numpy as np
+
     k = math.sqrt(params.tau(1)) / params.gamma
     return np.exp(-k * log_cosh(params.gamma * np.asarray(t, dtype=float)))
 
@@ -234,51 +216,6 @@ def rho_10_profile(params: CknParams, t):
 def rho_10(params: CknParams, t, polar_angle):
     """Degree-one eigenfunction rho_{1,0,N}(t, theta) with the zonal
     coordinate harmonic theta_N = cos(polar angle)."""
+    import numpy as np
+
     return rho_10_profile(params, t) * np.cos(np.asarray(polar_angle, dtype=float))
-
-
-# largest normalized H1 product that orthogonality_check accepts
-ORTHOGONALITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """H1 inner products of the gap eigenfunctions against the soft modes.
-
-    Values are normalized by the product of the factors' H1 norms; mode-one
-    products against mode-zero functions vanish identically by harmonic
-    orthogonality and are reported as exact zeros.
-    """
-
-    rho02_vs_psi: float
-    rho02_vs_psi_prime: float
-    rho10_vs_mode_zero: float
-    tolerance: float
-    passed: bool
-
-
-def orthogonality_check(params: CknParams) -> OrthogonalityReport:
-    tau0 = params.tau(0)
-    half = bubble_half_width(params)
-    d, gamma = params.ac_minus_a, params.gamma
-    # the ratios are scale-free, so the bubble terms are Psi, Psi', Psi'' over
-    # the amplitude: unit-scale integrands that quad's absolute tolerance cannot
-    # swamp, and finite where the amplitude itself underflows
-    rho = (lambda t: rho_02(params, t), lambda t: rho_02_prime(params, t))
-    factors = (lambda th: 1.0, lambda th: -d * th,
-               lambda th: d * d * th * th - d * gamma * (1.0 - th * th))
-    bubble = [lambda t, f=f: f(np.tanh(gamma * t)) * _unit_envelope(params, t) for f in factors]
-
-    def ip(u, v) -> float:
-        (f, fp), (g, gp) = u, v
-        return integrate_line(lambda t: fp(t) * gp(t) + tau0 * f(t) * g(t), half)
-
-    n_rho = math.sqrt(ip(rho, rho))
-    r1, r2 = (abs(ip(rho, u)) / (n_rho * math.sqrt(ip(u, u))) for u in (bubble[:2], bubble[1:]))
-    return OrthogonalityReport(
-        rho02_vs_psi=r1,
-        rho02_vs_psi_prime=r2,
-        rho10_vs_mode_zero=0.0,
-        tolerance=ORTHOGONALITY_TOL,
-        passed=bool(r1 < ORTHOGONALITY_TOL and r2 < ORTHOGONALITY_TOL),
-    )

@@ -2,6 +2,7 @@
 for identities the package evaluates in closed form."""
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -11,6 +12,7 @@ from cknlab.cylinder import CylinderFunction, CylinderModel
 from cknlab.extremals import bubble_half_width, profile, psi
 from cknlab.params import CknParams
 from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
+from cknlab.spectrum import rho_02
 
 
 def emden_fowler_image(params: CknParams, radial: Callable[[np.ndarray], np.ndarray], t):
@@ -127,3 +129,69 @@ def tensor_lp1_pow(model: CylinderModel, v: CylinderFunction) -> tuple[float, np
     weight = model.angle_prefactor * model.h
     value = weight * float(np.sum(profiles * per_degree))
     return value, weight * (p + 1.0) * per_degree.T
+
+
+def _unit_envelope(params: CknParams, t):
+    """cosh(gamma t)^(-2/(p-1)), the bubble Psi over its amplitude."""
+    return np.exp(-(2.0 / (params.p - 1.0)) * log_cosh(params.gamma * t))
+
+
+def rho_02_prime(params: CknParams, t):
+    """Analytic t-derivative of ``spectrum.rho_02``."""
+    p, g = params.p, params.gamma
+    t = np.asarray(t, dtype=float)
+    th = np.tanh(g * t)
+    sech_sq = 1.0 - th * th
+    envelope = _unit_envelope(params, t)
+    bracket = 4.0 * (p + 1.0) - (6.0 * p + 2.0) * sech_sq
+    d_envelope = -(2.0 * g / (p - 1.0)) * th * envelope
+    d_bracket = (6.0 * p + 2.0) * 2.0 * g * th * sech_sq
+    return p / (4.0 * (p - 1.0) ** 2) * (d_envelope * bracket + envelope * d_bracket)
+
+
+# largest normalized H1 product that orthogonality_check accepts
+ORTHOGONALITY_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class OrthogonalityReport:
+    """H1 inner products of the gap eigenfunctions against the soft modes.
+
+    Values are normalized by the product of the factors' H1 norms; mode-one
+    products against mode-zero functions vanish identically by harmonic
+    orthogonality and are reported as exact zeros.
+    """
+
+    rho02_vs_psi: float
+    rho02_vs_psi_prime: float
+    rho10_vs_mode_zero: float
+    tolerance: float
+    passed: bool
+
+
+def orthogonality_check(params: CknParams) -> OrthogonalityReport:
+    """rho_02 against Psi and Psi' in H1, by adaptive quadrature."""
+    tau0 = params.tau(0)
+    half = bubble_half_width(params)
+    d, gamma = params.ac_minus_a, params.gamma
+    # the ratios are scale-free, so the bubble terms are Psi, Psi', Psi'' over
+    # the amplitude: unit-scale integrands that quad's absolute tolerance cannot
+    # swamp, and finite where the amplitude itself underflows
+    rho = (lambda t: rho_02(params, t), lambda t: rho_02_prime(params, t))
+    factors = (lambda th: 1.0, lambda th: -d * th,
+               lambda th: d * d * th * th - d * gamma * (1.0 - th * th))
+    bubble = [lambda t, f=f: f(np.tanh(gamma * t)) * _unit_envelope(params, t) for f in factors]
+
+    def ip(u, v) -> float:
+        (f, fp), (g, gp) = u, v
+        return integrate_line(lambda t: fp(t) * gp(t) + tau0 * f(t) * g(t), half)
+
+    n_rho = math.sqrt(ip(rho, rho))
+    r1, r2 = (abs(ip(rho, u)) / (n_rho * math.sqrt(ip(u, u))) for u in (bubble[:2], bubble[1:]))
+    return OrthogonalityReport(
+        rho02_vs_psi=r1,
+        rho02_vs_psi_prime=r2,
+        rho10_vs_mode_zero=0.0,
+        tolerance=ORTHOGONALITY_TOL,
+        passed=bool(r1 < ORTHOGONALITY_TOL and r2 < ORTHOGONALITY_TOL),
+    )

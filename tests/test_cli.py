@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import enum
 import io
 import json
 import math
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cknlab
+from cknlab import energy
 from cknlab.cli import run_command
 from cknlab.params import InvalidParameters, make_params
 
@@ -251,14 +254,105 @@ def test_sweep_offsets_mode(tmp_path):
         assert values[0] > values[1]  # gap constant shrinks toward the curve
 
 
+def null_fields(doc, prefix=""):
+    """Dotted paths of the null values in a JSON document."""
+    if not isinstance(doc, dict):
+        return [prefix.rstrip(".")] if doc is None else []
+    return [path for key, value in doc.items() for path in null_fields(value, f"{prefix}{key}.")]
+
+
+# at (4, 0.2, 1.1995), where p = 1.0005, the bubble amplitude underflows to 0.0
+NULL_AT_THE_EDGE = {
+    "zhat": [
+        "boundary_note",
+        "appendix.zhat.value",
+        "appendix.zhat.value_variational",
+        "appendix.zhat.prefactor",
+        "appendix.zhat.moment4",
+    ],
+    "energy": [
+        "boundary_note",
+        "a0",
+        "two_bubble.value",
+        "two_bubble.distance_sq",
+        "two_bubble.numerator",
+        "two_bubble.a0",
+        "two_bubble.deficit",
+        "two_bubble.deficit_rate",
+        "two_bubble.predicted_deficit_rate",
+        "two_bubble.predicted_deficit_rate_display",
+        "two_bubble.dist_ratio",
+        "third_order",
+        "gap_perturbation.value",
+        "gap_perturbation.distance_sq",
+        "gap_perturbation.numerator",
+        "gap_perturbation.slope",
+        "gap_perturbation.predicted_value",
+    ],
+}
+
+
 @pytest.mark.parametrize("command", ["zhat", "energy", "minimize"])
 def test_numerical_failure_exit_code(command):
-    # near p -> 1 the closed forms overflow or divide by zero
+    # near p -> 1 the closed forms report null where a value leaves the double
+    # range, while the minimizer, which cannot normalize a zero start, exits 3
     code, out = run_cli([command, "4", "0.2", "1.1995"])
-    assert code == 3
     doc = json.loads(out)
-    assert doc["kind"] in ("OverflowError", "ZeroDivisionError")
-    assert doc["error"]
+    if command == "minimize":
+        assert code == 3
+        assert doc["kind"] in ("OverflowError", "ZeroDivisionError")
+        assert doc["error"]
+        return
+    assert code == 0, out
+    assert "Infinity" not in out
+    assert null_fields(doc) == NULL_AT_THE_EDGE[command]
+    if command == "zhat":
+        assert doc["appendix"]["sign_negative"]
+
+
+def same_as_api(got, want) -> bool:
+    """Does a JSON value equal the API value it was printed from, NaN as null?"""
+    if dataclasses.is_dataclass(want):
+        want = dataclasses.asdict(want)
+    if isinstance(want, enum.Enum):
+        want = want.value
+    if isinstance(want, dict):
+        return set(got) == set(want) and all(same_as_api(got[k], v) for k, v in want.items())
+    if isinstance(want, float) and math.isnan(want):
+        return got is None
+    return got == want
+
+
+@pytest.mark.parametrize(
+    "command, n_dim, a, b",
+    [
+        ("energy", 2, "-1.855600632470652", "-0.857533610593477"),
+        ("energy", 5, "-1.662221751086018", "-0.667424875520033"),
+        ("energy", 4, "-1.345409467114971", "-0.352714815525238"),
+        ("energy", 2, "-1.895946933674844", "-0.898939867868625"),
+        # the integral of Psi^(p+1) underflows to zero on the cylinder grid
+        ("energy", 5, "1.498298163813933", "2.473173082998919"),
+        ("zhat", 6, "-1.580951283485476", "-0.586095058095253"),
+    ],
+)
+def test_closed_forms_report_null_near_p_to_1(command, n_dim, a, b):
+    # p = 1.003 to 1.02: the amplitude, A0 or amp^(p-3) leaves the double range
+    code, out = run_cli([command, str(n_dim), "--", a, b])
+    assert code == 0, out
+    assert "Infinity" not in out
+    doc = json.loads(out)
+    params = make_params(n_dim, float(a), float(b))
+    if command == "zhat":
+        want = {"appendix": energy.appendix_report(params)}
+    else:
+        want = {
+            "a0": energy.a0_coefficient(params),
+            "two_bubble": energy.two_bubble_quotient(params, 10.0 / params.gamma),
+            "third_order": energy.third_order_coefficient(params),
+            "gap_perturbation": energy.gap_perturbation_quotient(params, 0.01),
+        }
+    for key, value in want.items():
+        assert same_as_api(doc[key], value), key
 
 
 def test_minimize_remaining_point_where_the_dip_ends_above_the_gap():
@@ -360,6 +454,21 @@ def test_search_failure_exit_code(monkeypatch):
 
 
 def test_sweep_keeps_rows_with_failed_tasks(tmp_path, monkeypatch, capsys):
+    from cknlab import cli
+
+    zhat_cells = cli._SWEEP_TASKS["zhat"]
+
+    def failing_zhat_cells(params, report, seed):
+        # each row has its own seed: a quarter of the rows overflow and a
+        # quarter divide by zero
+        if seed % 4 == 0:
+            raise OverflowError("zhat overflows")
+        if seed % 4 == 1:
+            raise ZeroDivisionError("zhat divides by zero")
+        return zhat_cells(params, report, seed)
+
+    # the pool forks its workers, which inherit the patched table
+    monkeypatch.setitem(cli._SWEEP_TASKS, "zhat", failing_zhat_cells)
     config = {
         "N": 4,
         "a_range": {"min": 0.2, "max": 0.2, "steps": 1},
@@ -461,12 +570,15 @@ def test_closed_form_commands_do_not_load_quadrature():
         "def scipy_modules():\n"
         "    return sorted(name for name in sys.modules if name.startswith('scipy'))\n"
         "assert not scipy_modules(), scipy_modules()\n"
-        "runs = [[c, '4', '0', '0.5'] for c in ('region', 'spectrum', 'gap', 'bounds', 'energy', 'zhat')]\n"
+        "assert 'numpy' not in sys.modules\n"
+        "closed = ('region', 'spectrum', 'gap', 'bounds', 'zhat')\n"
+        "runs = [[c, '4', '0', '0.5'] for c in closed + ('energy',)]\n"
         "runs.append(['minimize', '4', '0.5', '0.6', '--starts', '1', '--seed', '3'])\n"
         "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run_command(argv) == 0, argv\n"
         "    assert not scipy_modules(), (argv, scipy_modules())\n"
+        "    assert argv[0] not in closed or 'numpy' not in sys.modules, argv\n"
         "print(cknlab.generalized_eigenvalues(cknlab.make_params(4, 0.0, 0.5), 0, 2)[0])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cknlab.__file__)))

@@ -11,14 +11,13 @@ from cknlab.spectrum import (
     eigenvalue_closed,
     eigenfunction,
     harmonic_multiplicity,
-    orthogonality_check,
     rho_02,
     rho_10,
     rho_10_profile,
     spectral_gap,
 )
 from tests.conftest import sample_valid_params
-from tests.oracles import jacobi_mode, jacobi_mode_h1_norm_sq
+from tests.oracles import jacobi_mode, jacobi_mode_h1_norm_sq, orthogonality_check
 
 
 def test_exact_eigenvalue_identities(rng):
