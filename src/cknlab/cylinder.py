@@ -369,24 +369,9 @@ class CylinderModel:
         values = self.sqrt_area * self.h * corr[n - 1 + j]
         return shifts, values
 
-    def distance_to_manifold(self, v: CylinderFunction) -> ManifoldProjection:
-        """Squared distance to the manifold of scaled, shifted bubbles.
-
-        A full correlation scan over grid shifts locates the global maximum of
-        the squared overlap.  A safeguarded Newton iteration on the shift
-        derivative of the overlap, started at the grid maximum and kept inside
-        the neighbouring grid cells, then resolves the maximizing shift to
-        roundoff; a step that would leave the bracket, move the wrong way or
-        fail to halve falls back to bisection.
-        """
-        self._check(v)
-        shifts, values = self._overlap_scan(v)
-        # |overlap|, not its square, which overflows where |overlap| > ~1e154
-        best = int(np.argmax(np.abs(values)))
-        edge = best <= 1 or best >= len(shifts) - 2
-        lo = shifts[max(best - 1, 0)]
-        hi = shifts[min(best + 1, len(shifts) - 1)]
-        f0 = v.mode(0)
+    def _refine_shift(self, f0: np.ndarray, shifts: np.ndarray, best: int) -> float:
+        """Safeguarded Newton iteration for the maximizer of the squared overlap."""
+        lo, hi = shifts[max(best - 1, 0)], shifts[min(best + 1, len(shifts) - 1)]
         s_star = shifts[best]
         last_step = hi - lo
         for _ in range(SHIFT_ITERATIONS):
@@ -405,9 +390,25 @@ class CylinderModel:
             s_star += step
             last_step = step
             if abs(step) <= SHIFT_TOL:
-                break
-        else:
-            raise SearchFailure("shift refinement did not converge")
+                return s_star
+        raise SearchFailure("shift refinement did not converge")
+
+    def distance_to_manifold(self, v: CylinderFunction) -> ManifoldProjection:
+        """Squared distance to the manifold of scaled, shifted bubbles.
+
+        A full correlation scan over grid shifts locates the global maximum of
+        the squared overlap.  A safeguarded Newton iteration on the shift
+        derivative of the overlap, started at the grid maximum and kept inside
+        the neighbouring grid cells, then resolves the maximizing shift to
+        roundoff; a step that would leave the bracket, move the wrong way or
+        fail to halve falls back to bisection.
+        """
+        self._check(v)
+        shifts, values = self._overlap_scan(v)
+        # |overlap|, not its square, which overflows where |overlap| > ~1e154
+        best = int(np.argmax(np.abs(values)))
+        # an all-zero scan (Psi_s^p underflows at every shift) has no maximizer
+        s_star = math.nan if values[best] == 0.0 else self._refine_shift(v.mode(0), shifts, best)
         ov = self.overlap(v, s_star)
         h1_sq = self.h1_inner(v, v)
         return ManifoldProjection(
@@ -415,7 +416,7 @@ class CylinderModel:
             scalar=ov / self.lp1_pow_psi,
             overlap=ov,
             distance_sq=h1_sq - self.kappa * ov * ov,
-            edge_attained=bool(edge),
+            edge_attained=best <= 1 or best >= len(shifts) - 2,
             h1_sq=h1_sq,
         )
 

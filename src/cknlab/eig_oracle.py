@@ -4,15 +4,15 @@ Discretizes -phi'' + tau_i phi = lambda beta sech^2(gamma t) phi with second
 differences and Dirichlet walls at +-T, giving the tridiagonal pencil
 A x = lambda W x with A symmetric positive definite and W = beta sech^2(gamma t)
 diagonal.  The smallest eigenvalues come from shift-invert Lanczos (Ericsson
-and Ruhe, Math. Comp. 35, 1980): A is Cholesky-factored once, and ARPACK finds
-the largest eigenvalues mu = 1/lambda of the symmetric operator
-W^{1/2} A^{-1} W^{1/2}, so W is never inverted and the vanishing wall weights
-do no harm.  One Sturm count of A - lambda W just above the largest returned
-value certifies that exactly the requested smallest eigenvalues were found.
-The raw second-difference eigenvalues carry an O(h^2) bias, so each returned
-value is Richardson-extrapolated across quarter-, half-, and full-resolution
-solves (eliminating the h^2 and h^4 terms); self-convergence under grid
-doubling is then at the 1e-8 level.
+and Ruhe, Math. Comp. 35, 1980): A is factored once as L D L^T by LAPACK's
+tridiagonal dpttrf, and ARPACK finds the largest eigenvalues mu = 1/lambda of
+the symmetric operator W^{1/2} A^{-1} W^{1/2}, so W is never inverted and the
+vanishing wall weights do no harm.  One Sturm count of A - lambda W just above
+the largest returned value certifies that exactly the requested smallest
+eigenvalues were found.  The raw second-difference eigenvalues carry an O(h^2)
+bias, so each returned value is Richardson-extrapolated across quarter-, half-,
+and full-resolution solves (eliminating the h^2 and h^4 terms);
+self-convergence under grid doubling is then at the 1e-8 level.
 
 Everything here is deliberately independent of the closed-form spectrum
 module: the two are cross-checked against each other in the test suite.
@@ -54,17 +54,17 @@ def solver_grid(params: CknParams) -> GridSpec:
 
 
 def _negative_count(diag: np.ndarray, weight: np.ndarray, off_sq: float, lam: float) -> int:
-    # Sturm sequence: count of negative pivots in LDL^T of (A - lam W); the
-    # loop runs over Python floats, several times faster than indexing arrays
+    # Sturm sequence: negative pivots in LDL^T of (A - lam W).  numpy forms the
+    # shifted diagonal; the pivot loop runs over Python floats, not array items
     count = 0
-    d_prev = math.inf  # the first row has no coupling above it
-    for a, w in zip(diag.tolist(), weight.tolist()):
-        d = a - lam * w - off_sq / d_prev
-        if d < 0.0:
-            count += 1
-        if d == 0.0:
-            d = 1e-300
-        d_prev = d
+    d = math.inf  # the first row has no coupling above it
+    for a in (diag - lam * weight).tolist():
+        d = a - off_sq / d
+        if d <= 0.0:  # one test on the common path of positive pivots
+            if d < 0.0:
+                count += 1
+            else:
+                d = 1e-300
     return count
 
 
@@ -91,19 +91,18 @@ def _lanczos(
     pencil eigenvectors x = A^{-1} W^{1/2} y as columns."""
     # scipy loads on the first solve, so importing the package (as every CLI
     # command does) does not pay for it
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg.lapack import dpttrf, dpttrs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     diag, weight, off = _assemble(params, i, grid)
     m = diag.size
     # A is tridiagonal with a positive diagonal shift tau_i, hence SPD
-    upper = np.empty((2, m))
-    upper[0] = off
-    upper[1] = diag
-    factor = (cholesky_banded(upper), False)
+    pivots, lower, info = dpttrf(diag, np.full(m - 1, off))
+    if info != 0:
+        raise ConvergenceFailure(f"L D L^T factorization of A failed for mode {i}")
     root = np.sqrt(weight)
     operator = LinearOperator(
-        (m, m), matvec=lambda y: root * cho_solve_banded(factor, root * y.ravel()), dtype=float
+        (m, m), matvec=lambda y: root * dpttrs(pivots, lower, root * y.ravel())[0], dtype=float
     )
     # fixed start vector, since ARPACK's default one is random; the tilt gives
     # it an odd part, which W^{1/2} alone lacks (the translation mode is odd)
@@ -122,7 +121,7 @@ def _lanczos(
         raise ConvergenceFailure(
             f"Sturm count does not certify the {count} smallest eigenvalues of mode {i}"
         )
-    return lams, cho_solve_banded(factor, root[:, None] * y[:, order])
+    return lams, dpttrs(pivots, lower, root[:, None] * y[:, order])[0]
 
 
 def generalized_eigenvalues(

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import integrate
 
 from cknlab.cylinder import CylinderFunction, CylinderModel
-from cknlab.extremals import bubble_half_width, profile, psi
+from cknlab.extremals import GridSpec, bubble_half_width, profile, psi
 from cknlab.params import CknParams
 from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
 from cknlab.spectrum import rho_02
@@ -81,6 +81,29 @@ def jacobi_mode_h1_norm_sq(params: CknParams, i: int, j: int) -> float:
     half = bubble_half_width(params)
     value, _ = integrate.quad(integrand, -half, half, epsabs=0.0, epsrel=1e-13, limit=400)
     return value
+
+
+def dense_pencil_eigenvalues(params: CknParams, i: int, count: int, grid: GridSpec) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of the mode-i second-difference pencil
+    A x = lambda W x (Dirichlet walls), ascending, as 1/mu for the largest
+    eigenvalues mu of the dense S = W^{1/2} A^{-1} W^{1/2}.
+
+    A and W are built here from the discretized equation
+    -phi'' + tau_i phi = lambda beta sech^2(gamma t) phi, not taken from the
+    package, and S is formed by a dense solve, with no factorization shared
+    with the Lanczos oracle.
+    """
+    t = grid.t()[1:-1]
+    h = grid.spacing
+    a_mat = (
+        np.diag(np.full(t.size, 2.0 / h**2 + params.tau(i)))
+        - np.diag(np.full(t.size - 1, 1.0 / h**2), 1)
+        - np.diag(np.full(t.size - 1, 1.0 / h**2), -1)
+    )
+    root = np.sqrt(params.beta) / np.cosh(params.gamma * t)
+    s_mat = root[:, None] * np.linalg.solve(a_mat, np.diag(root))
+    mu = np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
+    return 1.0 / mu[::-1][:count]
 
 
 def psi_second(params: CknParams, t):

@@ -275,6 +275,7 @@ NULL_AT_THE_EDGE = {
         "a0",
         "two_bubble.value",
         "two_bubble.distance_sq",
+        "two_bubble.shift",
         "two_bubble.numerator",
         "two_bubble.a0",
         "two_bubble.deficit",

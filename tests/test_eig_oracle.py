@@ -21,6 +21,7 @@ from cknlab.extremals import psi, psi_prime
 from cknlab.params import felli_schneider, make_params
 from cknlab.spectrum import eigenvalue_closed, rho_02, rho_10_profile, spectral_gap
 from tests.conftest import sample_valid_params
+from tests.oracles import dense_pencil_eigenvalues
 
 
 def test_mode_zero_reference_point(params_case2):
@@ -95,6 +96,21 @@ def test_eigenpairs_solve_the_pencil(point):
             assert np.linalg.norm(ax - lam * weight * x) <= 1e-10 * np.linalg.norm(ax)
         gram = vecs.T @ (weight[:, None] * vecs)
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("point", [(4, 0.0, 0.5), (3, -0.4, 0.2)], ids=str)
+def test_lanczos_matches_dense_pencil(point):
+    # the raw (un-extrapolated) pencil on a 1024-node grid, where a dense
+    # eigensolve of W^{1/2} A^{-1} W^{1/2} is cheap
+    params = make_params(*point)
+    grid = GridSpec(solver_grid(params).half_width, 1024)
+    for i in range(3):
+        reference = dense_pencil_eigenvalues(params, i, 4, grid)
+        lams, _ = mode_eigenpairs(params, i, 3, grid)
+        np.testing.assert_allclose(lams, reference[:3], rtol=1e-12, atol=0.0)
+        for k in range(1, 4):
+            midpoint = 0.5 * (reference[k - 1] + reference[k])
+            assert inertia_count(params, i, midpoint, grid) == k
 
 
 # p -> 1, where a width of 40/gamma left the eigenfunctions a few nodes wide:
