@@ -38,7 +38,7 @@ import numpy as np
 
 from .extremals import GridSpec, default_grid, psi, psi_prime
 from .params import CknParams, SearchFailure
-from .spectrum import rho_02, rho_10_profile
+from .spectrum import rho_02
 from .specfun import sphere_area
 
 __all__ = [
@@ -60,6 +60,9 @@ LP1_BLOCK_ROWS = 128
 # Newton refinement of the maximizing shift: step tolerance and iteration cap
 SHIFT_TOL = 1e-12
 SHIFT_ITERATIONS = 100
+# Q is undefined on the bubble manifold: a squared distance at or below this
+# share of |v|_H1^2 counts as on it, since dist^2 there is mostly cancellation
+ON_MANIFOLD_TOL = 1e-10
 
 
 class GridMismatch(ValueError):
@@ -249,11 +252,6 @@ class CylinderModel:
     def rho02_function(self) -> CylinderFunction:
         return self.function({0: self.sqrt_area * rho_02(self.params, self.t)})
 
-    def rho10_function(self) -> CylinderFunction:
-        # raw coordinate harmonic theta_N = sqrt(|S|/N) * (orthonormal Y_1)
-        coeff = math.sqrt(self.area / self.params.N)
-        return self.function({1: coeff * rho_10_profile(self.params, self.t)})
-
     def two_bubble(self, s: float) -> CylinderFunction:
         if s >= self.grid.half_width:
             raise ValueError("second bubble does not fit the grid")
@@ -320,16 +318,20 @@ class CylinderModel:
         per_degree *= weight * (p + 1.0)
         return value, np.ascontiguousarray(per_degree.T)
 
-    def quotient_parts(
+    def quotient(
         self, v: CylinderFunction, lp1_pow: float | None = None
-    ) -> tuple[float, ManifoldProjection]:
-        """The quotient numerator |v|_H1^2 - C^-1 |v|_{p+1}^2 and the manifold
-        projection; ``lp1_pow`` is int |v|^(p+1) when already known."""
+    ) -> tuple[float, float, ManifoldProjection]:
+        """Q(v), its numerator |v|_H1^2 - C^-1 |v|_{p+1}^2 and the manifold
+        projection; ``lp1_pow`` is int |v|^(p+1) when already known.  Q is NaN
+        unless dist^2 > ON_MANIFOLD_TOL |v|_H1^2."""
         projection = self.distance_to_manifold(v)
         if lp1_pow is None:
             lp1_pow = self.lp1_pow(v)
         p = self.params.p
-        return projection.h1_sq - self.c_inv * lp1_pow ** (2.0 / (p + 1.0)), projection
+        numerator = projection.h1_sq - self.c_inv * lp1_pow ** (2.0 / (p + 1.0))
+        off = projection.distance_sq > ON_MANIFOLD_TOL * projection.h1_sq
+        value = numerator / projection.distance_sq if off else math.nan
+        return value, numerator, projection
 
     # ------------------------------------------------------------------
     # manifold machinery

@@ -74,9 +74,8 @@ def _scaled(x: float, log_scale: float) -> float:
 
 
 def _ratio(x: float, y: float) -> float:
-    """x / y, or NaN where y is not positive or the ratio overflows: near
-    p -> 1 a computed squared distance can cancel to zero or below, and the
-    quotient is then undefined."""
+    """x / y, or NaN where y is not positive or the ratio overflows, as near
+    p -> 1 it can."""
     ratio = x / y if 0.0 < y < math.inf else math.nan
     return ratio if math.isfinite(ratio) else math.nan
 
@@ -213,7 +212,8 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
     ``deficit_rate`` is NaN where the predicted deficit, that rate times the
     decay exp(-2 gamma s/(p-1)), is rounding noise, as it is near p -> 1.
     Both rates go through logarithms, and a value that overflows the double
-    range, or rests on a squared distance that is not positive, is NaN.
+    range is NaN; so is ``value`` where ``CylinderModel.quotient`` leaves Q
+    undefined, at a squared distance of at most ON_MANIFOLD_TOL |v|_H1^2.
     """
     from .cylinder import model_for
 
@@ -222,9 +222,8 @@ def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
         raise InvalidParameters("two-bubble separation must lie in (0, half the search window)")
     p = params.p
     v = model.two_bubble(s)
-    numerator, projection = model.quotient_parts(v)
+    value, numerator, projection = model.quotient(v)
     dist_sq = projection.distance_sq
-    value = _ratio(numerator, dist_sq)
     bounds = bounds_report(params)
     log_a0 = _log_a0(params)
     # A0/|Psi|_H1^2 = 2^((p+3)/(p-1)) (p-1)/((p+1) B((p+1)/(p-1), 1/2)): no amplitude
@@ -276,8 +275,9 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
     The epsilon -> 0 limit is the radial gap value (lambda_02 - 1)/lambda_02,
     which equals the gap constant in CaseI/CaseII; the slope is
     p(p-1)/3 * <Psi^(p-2), rho_02^3> / |rho_02|_H1^2.  ``value`` is NaN
-    where the computed squared distance is not positive, and the slope where
-    it overflows the double range.
+    where ``CylinderModel.quotient`` leaves Q undefined, at a squared distance
+    of at most ON_MANIFOLD_TOL |v|_H1^2, and the slope where it overflows the
+    double range.
     """
     from .cylinder import combine, model_for
 
@@ -286,9 +286,8 @@ def gap_perturbation_quotient(params: CknParams, eps: float) -> GapPerturbationR
     model = model_for(params)
     p = params.p
     v = combine([1.0, eps], [model.psi_function(), model.rho02_function()])
-    numerator, projection = model.quotient_parts(v)
+    value, numerator, projection = model.quotient(v)
     dist_sq = projection.distance_sq
-    value = _ratio(numerator, dist_sq)
     lam02 = eigenvalue_closed(params, 0, 2).lam
     limit = (lam02 - 1.0) / lam02
     slope = _scaled(p * (p - 1.0) / 3.0 / rho02_h1_norm_sq(params), _log_third_order(params))

@@ -53,8 +53,9 @@ __all__ = [
     "random_start",
 ]
 
+# an accepted step keeps dist^2 above this share of |v|_H1^2, well clear of the
+# manifold, where the roundoff of Q grows like eps_mach / dist^2
 MANIFOLD_GUARD = 1e-8
-ON_MANIFOLD_TOL = 1e-10
 # descent recipe: first trial step and cap of the backtracking step along the
 # H1 gradient, relative tolerance on its H1 norm, the relative odd part below
 # which a start counts as even in t, and the H1 size of a random start's
@@ -92,24 +93,22 @@ class QuotientReport:
 
 @dataclass(frozen=True)
 class _Iterate:
-    """An L^{p+1}-normalized function with the pieces of its quotient and gradient.
+    """An L^{p+1}-normalized function with its quotient and the pieces of its
+    gradient.
 
-    Normalization makes int |v|^{p+1} = 1, so the numerator is |v|_H1^2 - C^-1.
-    Row k of ``lp1_grads`` belongs to ``v.degrees[k]``.
+    Normalization makes int |v|^{p+1} = 1, which the gradient's numerator term
+    assumes.  Row k of ``lp1_grads`` belongs to ``v.degrees[k]``.
     """
 
     v: CylinderFunction
     lp1_grads: np.ndarray
     projection: ManifoldProjection
-    numerator: float
-
-    @property
-    def value(self) -> float:
-        return self.numerator / self.projection.distance_sq
+    value: float
 
 
-def _require_off_manifold(projection: ManifoldProjection) -> None:
-    if projection.distance_sq <= ON_MANIFOLD_TOL * projection.h1_sq:
+def _require_off_manifold(value: float) -> None:
+    # CylinderModel.quotient leaves Q NaN where the distance is numerically zero
+    if math.isnan(value):
         raise OnManifold("distance to the bubble manifold is numerically zero")
 
 
@@ -127,18 +126,8 @@ class _Objective:
         c = 1.0 / lp1_pow ** (1.0 / (self.p + 1.0))
         v = scale(v, c)
         # int |c v|^{p+1} = 1 by homogeneity, and its gradient scales by c^p
-        numerator, projection = m.quotient_parts(v, 1.0)
-        return _Iterate(
-            v=v, lp1_grads=c**self.p * lp1_grads, projection=projection, numerator=numerator
-        )
-
-    def _numerator_grads(
-        self, h1_grads: np.ndarray, lp1_pow: float, lp1_grads: np.ndarray
-    ) -> np.ndarray:
-        # d/df of C^-1 (int |v|^{p+1})^{2/(p+1)} through the L^{p+1} gradient
-        p = self.p
-        factor = self.model.c_inv * 2.0 / (p + 1.0) * lp1_pow ** (2.0 / (p + 1.0) - 1.0)
-        return h1_grads - factor * lp1_grads
+        value, _, projection = m.quotient(v, 1.0)
+        return _Iterate(v=v, lp1_grads=c**self.p * lp1_grads, projection=projection, value=value)
 
     def gradient(self, it: _Iterate) -> np.ndarray:
         """dQ/d(samples), row k for ``it.v.degrees[k]``, analytic through the
@@ -146,7 +135,8 @@ class _Objective:
         m = self.model
         projection = it.projection
         h1_grads = m.h1_gradient(it.v)
-        num_grads = self._numerator_grads(h1_grads, 1.0, it.lp1_grads)
+        # d/df of C^-1 (int |v|^{p+1})^{2/(p+1)} at int |v|^{p+1} = 1
+        num_grads = h1_grads - m.c_inv * 2.0 / (self.p + 1.0) * it.lp1_grads
         # overlap gradient at the optimal shift, in the radial row only; the
         # shift's own derivative drops out by the envelope property
         dist_grads = h1_grads.copy()
@@ -154,12 +144,6 @@ class _Objective:
             grad_overlap0 = m.overlap_gradient(projection.shift)
             dist_grads[0] -= 2.0 * m.kappa * projection.overlap * grad_overlap0
         return (num_grads - it.value * dist_grads) / projection.distance_sq
-
-    def numerator_gradient(self, v: CylinderFunction) -> np.ndarray:
-        """Gradient of the numerator alone, row k for ``v.degrees[k]`` (used by
-        the correctness checks)."""
-        lp1_pow, lp1_grads = self.model.lp1_pow(v, with_gradient=True)
-        return self._numerator_grads(self.model.h1_gradient(v), lp1_pow, lp1_grads)
 
 
 def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
@@ -170,10 +154,9 @@ def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
     for s in DIP_SEPARATIONS / params.gamma:
         pair = psi(params, model.t + 0.5 * s) + psi(params, model.t - 0.5 * s)
         v = model.function({0: model.sqrt_area * pair})
-        numerator, projection = model.quotient_parts(v)
+        q, _, _ = model.quotient(v)
         # a separation that lands on the manifold has no quotient
-        off = projection.distance_sq > ON_MANIFOLD_TOL * projection.h1_sq
-        q = numerator / projection.distance_sq if off else math.inf
+        q = math.inf if math.isnan(q) else q
         if best is None or q < best[0]:
             best = (q, s, v)
     _, s, v = best
@@ -193,9 +176,8 @@ def quotient(v: CylinderFunction) -> QuotientReport:
     Raises OnManifold when the distance is numerically zero relative to the
     function's energy.
     """
-    numerator, projection = model_for(v.params).quotient_parts(v)
-    _require_off_manifold(projection)
-    value = numerator / projection.distance_sq
+    value, _, projection = model_for(v.params).quotient(v)
+    _require_off_manifold(value)
     return QuotientReport(
         value=value,
         distance_sq=projection.distance_sq,
@@ -228,7 +210,7 @@ def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientR
     model = model_for(start.params)
     objective = _Objective(model)
     it = objective.normalized(start)
-    _require_off_manifold(it.projection)
+    _require_off_manifold(it.value)
     even = _is_even(it.v)
     trace = [(0, it.value)]
     step = INITIAL_STEP

@@ -18,7 +18,6 @@ from typing import Callable
 __all__ = [
     "beta",
     "cosh_power_integral",
-    "gamma",
     "integrate_line",
     "jacobi_polynomial",
     "log_cosh",
@@ -33,13 +32,6 @@ _LN2 = math.log(2.0)
 QUAD_ABS_TOL = 1e-13
 QUAD_REL_TOL = 1e-12
 QUAD_LIMIT = 400
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive real argument."""
-    if x <= 0.0:
-        raise ValueError("gamma defined here for positive arguments only")
-    return math.gamma(x)
 
 
 def beta(m: float, n: float) -> float:

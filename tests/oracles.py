@@ -12,7 +12,7 @@ from cknlab.cylinder import CylinderFunction, CylinderModel
 from cknlab.extremals import GridSpec, bubble_half_width, profile, psi
 from cknlab.params import CknParams
 from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
-from cknlab.spectrum import rho_02
+from cknlab.spectrum import rho_02, rho_10_profile
 
 
 def emden_fowler_image(params: CknParams, radial: Callable[[np.ndarray], np.ndarray], t):
@@ -133,6 +133,22 @@ def derivative_dot_h1_inner(model: CylinderModel, u: CylinderFunction, v: Cylind
         total += model.h * float(np.dot(derivative(f), derivative(g)))
         total += model.params.tau(d) * model.h * float(np.dot(f, g))
     return total
+
+
+def rho10_function(model: CylinderModel) -> CylinderFunction:
+    """The degree-one eigenfunction rho_10 on the model's grid."""
+    # raw coordinate harmonic theta_N = sqrt(|S|/N) * (orthonormal Y_1)
+    coeff = math.sqrt(model.area / model.params.N)
+    return model.function({1: coeff * rho_10_profile(model.params, model.t)})
+
+
+def numerator_gradient(model: CylinderModel, v: CylinderFunction) -> np.ndarray:
+    """Gradient of the quotient numerator |v|_H1^2 - C^-1 (int |v|^(p+1))^(2/(p+1))
+    with respect to the samples, row k for ``v.degrees[k]``."""
+    p = model.params.p
+    lp1_pow, lp1_grads = model.lp1_pow(v, with_gradient=True)
+    factor = model.c_inv * 2.0 / (p + 1.0) * lp1_pow ** (2.0 / (p + 1.0) - 1.0)
+    return model.h1_gradient(v) - factor * lp1_grads
 
 
 def lp1_norm(model: CylinderModel, v: CylinderFunction) -> float:

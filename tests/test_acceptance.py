@@ -34,12 +34,12 @@ from cknlab.energy import (
 )
 from cknlab.eig_oracle import generalized_eigenvalues, rayleigh_gap_check
 from cknlab.extremals import optimal_constant, psi, psi_norms
-from cknlab.minimizer import _Objective, estimate_cbe
+from cknlab.minimizer import estimate_cbe
 from cknlab.params import RegionClass, classify, felli_schneider, make_params
 from cknlab.specfun import cosh_power_integral, sphere_area
 from cknlab.spectrum import eigenvalue_closed, rho_02, rho_10_profile, spectral_gap
 from tests.conftest import sample_valid_params
-from tests.oracles import neg_laplacian
+from tests.oracles import neg_laplacian, numerator_gradient, rho10_function
 from tests.test_specfun import quad_cosh_power
 
 
@@ -55,7 +55,7 @@ def _directional_derivative(functional, v, direction, eps: float = 3e-5) -> floa
     return (-at(2 * eps) + 8.0 * at(eps) - 8.0 * at(-eps) + at(-2 * eps)) / (12.0 * eps)
 
 
-def _gradient_scale(model, objective, v, direction) -> float:
+def _gradient_scale(model, v, direction) -> float:
     """Sum of the magnitudes of the two parts of the numerator derivative."""
     params = model.params
     h1_part = sum(
@@ -71,7 +71,7 @@ def _gradient_scale(model, objective, v, direction) -> float:
         )
         for d in v.degrees
     )
-    full = objective.numerator_gradient(v)
+    full = numerator_gradient(model, v)
     full_part = sum(
         abs(float(np.dot(full[d], direction.mode(d)))) for d in v.degrees
     )
@@ -325,15 +325,14 @@ def test_criterion_10_minimizer_sanity():
         # gradient correctness at the reference point
         params = make_params(4, 0.0, 0.5)
         model = model_for(params)
-        objective = _Objective(model)
         rng = np.random.default_rng(110)
         envelope = np.exp(-((model.t / 40.0) ** 2))
         iterates = [
             combine([1.0, 0.05], [model.psi_function(), model.rho02_function()]),
-            combine([1.0, 0.1, 0.05], [model.psi_function(), model.rho02_function(), model.rho10_function()]),
+            combine([1.0, 0.1, 0.05], [model.psi_function(), model.rho02_function(), rho10_function(model)]),
             combine([1.0, 1.0], [model.psi_function(), model.random_mperp(1, 0.2)]),
             combine([1.0, 1.0], [model.psi_function(), model.random_mperp(2, 0.4)]),
-            combine([1.0, 0.2], [model.psi_function(), model.rho10_function()]),
+            combine([1.0, 0.2], [model.psi_function(), rho10_function(model)]),
         ]
 
         def numerator(v):
@@ -342,7 +341,7 @@ def test_criterion_10_minimizer_sanity():
             )
 
         for v in iterates:
-            grads = objective.numerator_gradient(v)
+            grads = numerator_gradient(model, v)
             for _ in range(2):
                 direction = model.function(
                     {
@@ -357,7 +356,7 @@ def test_criterion_10_minimizer_sanity():
                 # the derivative is a difference of an H1 and an L^{p+1} part;
                 # 1e-6 relative is measured against their magnitudes, which is
                 # what survives when a random direction makes them cancel
-                scale = _gradient_scale(model, objective, v, direction)
+                scale = _gradient_scale(model, v, direction)
                 assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-6 * scale)
 
         first = estimate_cbe(params, starts=1, seed=7, max_iterations=15)

@@ -422,6 +422,31 @@ def test_energy_reports_null_quotient_where_the_distance_is_not_positive():
 
 
 @pytest.mark.parametrize(
+    "n_dim, a, b",
+    [
+        (5, "-1.638157212960170", "-0.705079975137794"),
+        (6, "-1.941283571642614", "-1.165963486794666"),
+        (5, "-0.881098950145430", "0.102414361406831"),
+    ],
+)
+def test_energy_reports_null_quotient_where_the_minimizer_is_on_the_manifold(n_dim, a, b):
+    # p = 1.013 to 1.16: the computed distance of Psi + 0.01 rho_02 is positive
+    # but below 1e-10 |v|_H1^2, mostly cancellation; energy and the minimizer
+    # both leave Q undefined there
+    from cknlab.cylinder import combine, model_for
+    from cknlab.minimizer import OnManifold, quotient
+
+    params = make_params(n_dim, float(a), float(b))
+    assert math.isnan(energy.gap_perturbation_quotient(params, 0.01).value)
+    model = model_for(params)
+    with pytest.raises(OnManifold):
+        quotient(combine([1.0, 0.01], [model.psi_function(), model.rho02_function()]))
+    code, out = run_cli(["energy", str(n_dim), "--", a, b])
+    assert code == 0, out
+    assert json.loads(out)["gap_perturbation"]["value"] is None
+
+
+@pytest.mark.parametrize(
     "a, b",
     [
         ("-0.409781067211505", "0.568426142516292"),

@@ -20,7 +20,7 @@ from cknlab.energy import rho02_h1_norm_sq
 from cknlab.extremals import GridSpec, default_grid, psi, psi_norms
 from cknlab.params import felli_schneider, make_params
 from tests.conftest import sample_valid_params
-from tests.oracles import derivative_dot_h1_inner, lp1_norm, tensor_lp1_pow
+from tests.oracles import derivative_dot_h1_inner, lp1_norm, rho10_function, tensor_lp1_pow
 
 
 @pytest.mark.parametrize("n_dim", range(2, 9))
@@ -105,14 +105,9 @@ def _grid_rule_functions(model):
     psi_f = model.psi_function()
     r10, r02 = (
         scale(b, math.sqrt(model.energy_psi / model.h1_inner(b, b)))
-        for b in (model.rho10_function(), model.rho02_function())
+        for b in (rho10_function(model), model.rho02_function())
     )
     return [pair, combine([1.0, 0.2], [psi_f, r10]), combine([1.0, 0.3, 0.1], [psi_f, r02, r10])]
-
-
-def _quotient_value(model, v):
-    numerator, projection = model.quotient_parts(v)
-    return numerator / projection.distance_sq
 
 
 # criterion 10's points (p = 1.67 to 2.64), p = 1.73 and 5 at N = 3, the
@@ -140,8 +135,8 @@ def test_default_grid_resolves_the_quotient(point, monkeypatch):
     fine = CylinderModel(params)
     assert fine.grid.nodes == 16384 and fine.grid.half_width == model.grid.half_width
     for v, w in zip(_grid_rule_functions(model), _grid_rule_functions(fine)):
-        reference = _quotient_value(fine, w)
-        assert _quotient_value(model, v) == pytest.approx(reference, rel=0.0, abs=1e-12)
+        reference = fine.quotient(w)[0]
+        assert model.quotient(v)[0] == pytest.approx(reference, rel=0.0, abs=1e-12)
 
 
 def test_default_grid_node_counts():
@@ -189,7 +184,7 @@ def test_cylinder_function_validates_its_layout(params_case2):
             build((0, 1), shape)
     v = model.function({0: model.psi_values, 2: model.psi_values})
     assert v.degrees == (0, 2)
-    for u in (v, scale(v, 2.0), combine([1.0, 1.0], [v, model.rho10_function()])):
+    for u in (v, scale(v, 2.0), combine([1.0, 1.0], [v, rho10_function(model)])):
         assert u.values.shape == (len(u.degrees), n)
         with pytest.raises(ValueError, match="read-only"):
             u.values[0, 0] = 1.0
@@ -227,7 +222,7 @@ def test_h1_inner_matches_the_derivative_dot_reference(params_case2, rng):
     envelope = np.exp(-((model.t / 40.0) ** 2))
     u = model.function({d: rng.standard_normal(n) * envelope for d in (0, 1)})
     w = model.function({d: rng.standard_normal(n) * envelope for d in (0, 2)})
-    pairs = ((u, u), (u, w), (w, u), (u, model.rho10_function()), (model.psi_function(), w))
+    pairs = ((u, u), (u, w), (w, u), (u, rho10_function(model)), (model.psi_function(), w))
     for f, g in pairs:
         assert model.h1_inner(f, g) == pytest.approx(derivative_dot_h1_inner(model, f, g), rel=1e-13)
     disjoint = model.function({3: rng.standard_normal(n) * envelope})
@@ -253,7 +248,7 @@ def test_h1_gradient_and_riesz_map_follow_the_form(params_case2, rng):
 
 def test_mode_one_norm_reflection_invariance(params_remaining):
     model = model_for(params_remaining)
-    v = model.rho10_function()
+    v = rho10_function(model)
     reflected = scale(v, -1.0)  # polar-angle reflection negates the degree-one harmonic
     assert model.lp1_pow(reflected) == pytest.approx(model.lp1_pow(v), rel=1e-14)
     mixed = combine([1.0, 0.3], [model.psi_function(), v])

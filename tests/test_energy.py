@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from cknlab.cylinder import combine, model_for
@@ -18,11 +20,12 @@ from cknlab.energy import (
     zhat,
 )
 from cknlab.extremals import profile, psi, psi_norms
+from cknlab.minimizer import OnManifold, quotient
 from cknlab.params import RegionClass, classify, curve_constants, make_params
 from cknlab.specfun import sphere_area, sphere_moments
 from cknlab.spectrum import rho_02, rho_10_profile, spectral_gap
 from tests.conftest import sample_valid_params
-from tests.oracles import a0_quadrature
+from tests.oracles import a0_quadrature, rho10_function
 
 
 def line_quad(f, half):
@@ -204,6 +207,22 @@ def test_gap_perturbation_eps_validation(params_case2):
         gap_perturbation_quotient(params_case2, 0.5)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.floats(0.0, 0.2, exclude_min=True))
+def test_gap_perturbation_is_undefined_exactly_where_the_minimizer_says_on_manifold(seed, eps):
+    # one rule decides where Q is defined: energy reports NaN exactly where
+    # minimizer.quotient raises OnManifold, and the same Q bit for bit elsewhere
+    params = sample_valid_params(np.random.default_rng(seed))
+    model = model_for(params)
+    value = gap_perturbation_quotient(params, eps).value
+    try:
+        q = quotient(combine([1.0, eps], [model.psi_function(), model.rho02_function()])).value
+    except OnManifold:
+        assert math.isnan(value)
+    else:
+        assert q.hex() == value.hex()
+
+
 # ----------------------------------------------------------------------------
 # bounds report
 
@@ -314,7 +333,7 @@ def test_fourth_order_expansion_slope(params_remaining):
     # Q(Psi + eps rho_10) = L + (-Zhat_var / |rho_10|^2) eps^2 + o(eps^2); the
     # variational-constant coefficient is the one the expansion actually obeys
     model = model_for(params_remaining)
-    rho = model.rho10_function()
+    rho = rho10_function(model)
     norm_sq = model.h1_inner(rho, rho)
     psif = model.psi_function()
     eps_values = np.array([0.02, 0.01, 0.005])

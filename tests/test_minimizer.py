@@ -20,7 +20,7 @@ from cknlab.minimizer import (
 from cknlab.params import make_params
 from cknlab.spectrum import spectral_gap
 from tests.conftest import sample_valid_params
-from tests.oracles import neg_laplacian
+from tests.oracles import neg_laplacian, numerator_gradient, rho10_function
 
 
 def psi_plus(model, bump, eps):
@@ -59,7 +59,6 @@ def test_quotient_undefined_on_manifold(params_case2):
 
 def test_numerator_gradient_matches_finite_differences(params_case2, rng):
     model = model_for(params_case2)
-    objective = _Objective(model)
     envelope = np.exp(-((model.t / 40.0) ** 2))
 
     def numerator(v):
@@ -68,13 +67,13 @@ def test_numerator_gradient_matches_finite_differences(params_case2, rng):
         )
 
     # five iterates: the start plus descent snapshots
-    iterates = [combine([1.0, 0.05, 0.02], [model.psi_function(), model.rho02_function(), model.rho10_function()])]
+    iterates = [combine([1.0, 0.05, 0.02], [model.psi_function(), model.rho02_function(), rho10_function(model)])]
     iterates.append(combine([1.0, 0.1], [model.psi_function(), model.rho02_function()]))
-    iterates.append(combine([1.0, 0.2, -0.05], [model.psi_function(), model.rho02_function(), model.rho10_function()]))
+    iterates.append(combine([1.0, 0.2, -0.05], [model.psi_function(), model.rho02_function(), rho10_function(model)]))
     iterates.append(combine([1.0, 1.0], [model.psi_function(), model.random_mperp(1, 0.3)]))
     iterates.append(combine([1.0, 1.0], [model.psi_function(), model.random_mperp(2, 0.5)]))
     for v in iterates:
-        grads = objective.numerator_gradient(v)
+        grads = numerator_gradient(model, v)
         for _ in range(2):
             direction = model.function(
                 {
@@ -117,10 +116,9 @@ def test_numerator_gradient_rows_follow_degrees(params_case2, rng, layout):
     # row k of the gradient belongs to v.degrees[k]; in these layouts row
     # index and degree differ
     model = model_for(params_case2)
-    objective = _Objective(model)
     envelope = np.exp(-((model.t / 40.0) ** 2))
     if layout == "rho10 alone":
-        v = model.rho10_function()
+        v = rho10_function(model)
     else:
         radial = model.psi_function().mode(0)
         v = model.function({0: radial, 2: 0.3 * model.rho02_function().mode(0)})
@@ -131,7 +129,7 @@ def test_numerator_gradient_rows_follow_degrees(params_case2, rng, layout):
             2.0 / (params_case2.p + 1.0)
         )
 
-    grads = objective.numerator_gradient(v)
+    grads = numerator_gradient(model, v)
     assert grads.shape == (len(v.degrees), model.grid.nodes)
     for _ in range(2):
         direction = model.function(
@@ -163,6 +161,33 @@ def test_numerator_gradient_rows_follow_degrees(params_case2, rng, layout):
             for d in v.degrees
         )
         assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-6 * (h1_part + abs(analytic)))
+
+
+def test_quotient_gradient_matches_finite_differences(params_case2):
+    # the descent's dQ/d(samples) at an L^{p+1}-normalized iterate, against a
+    # fourth-order difference of CylinderModel.quotient.  The second bubble
+    # makes the maximizing shift unique, so Q is differentiable; each
+    # direction is white noise times the radial profile, so that no sample
+    # changes sign along the stencil, where |v|^(p+1) is not smooth enough.
+    model = model_for(params_case2)
+    objective = _Objective(model)
+    rng = np.random.default_rng(5)
+    shifted = model.psi_function(shift=2.0 / params_case2.gamma)
+    v = combine([1.0, 0.5, 0.1], [model.psi_function(), shifted, rho10_function(model)])
+    it = objective.normalized(v)
+    grads = objective.gradient(it)
+    for _ in range(3):
+        direction = model.function(
+            {d: it.v.mode(0) * rng.standard_normal(model.grid.nodes) for d in v.degrees}
+        )
+        eps = 3e-5
+
+        def at(c, _d=direction):
+            return model.quotient(combine([1.0, c], [it.v, _d]))[0]
+
+        fd = (-at(2 * eps) + 8.0 * at(eps) - 8.0 * at(-eps) + at(-2 * eps)) / (12.0 * eps)
+        analytic = sum(float(np.dot(grads[k], direction.mode(d))) for k, d in enumerate(v.degrees))
+        assert fd == pytest.approx(analytic, rel=1e-6)
 
 
 def test_descent_trace_is_monotone(params_case2):
@@ -211,7 +236,7 @@ def test_minimize_two_bubble_start(params_case2):
 
 def test_minimize_remaining_region_stays_above_gap(params_remaining):
     model = model_for(params_remaining)
-    report = minimize_quotient(psi_plus(model, model.rho10_function(), 0.05), 60)
+    report = minimize_quotient(psi_plus(model, rho10_function(model), 0.05), 60)
     gap = spectral_gap(params_remaining).lambda_star
     values = [q for _, q in report.trace]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))

@@ -8,7 +8,6 @@ from scipy.special import eval_jacobi
 from cknlab.specfun import (
     beta,
     cosh_power_integral,
-    gamma,
     integrate_line,
     jacobi_polynomial,
     sphere_area,
@@ -64,12 +63,6 @@ def test_cosh_power_integral_domain():
         cosh_power_integral(1.0, 0.6)
     with pytest.raises(ValueError):
         cosh_power_integral(4.0, -0.5)
-
-
-def test_gamma_recurrence():
-    xs = np.linspace(0.5, 20.0, 79)
-    for x in xs:
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-13)
 
 
 def test_beta_reduction_exact_values():
