@@ -27,7 +27,6 @@ __all__ = [
     "GridSpec",
     "OptimalConstant",
     "PsiNorms",
-    "bubble_half_width",
     "bubble_w",
     "bubble_w_prime",
     "default_grid",
@@ -56,16 +55,6 @@ def profile(params: CknParams) -> ExtremalProfile:
         amplitude=((p + 1.0) * d * d / 2.0) ** (1.0 / (p - 1.0)),
         decay_rate=params.gamma,
     )
-
-
-def bubble_half_width(params: CknParams) -> float:
-    """Half-width of an axis window that holds the bubble: at least 30/(a_c-a),
-    and beyond that where the envelope cosh(gamma t)^(-k), k = 2/(p-1), falls
-    below e^-120, but at most at gamma t = 40.  As p -> 1 the envelope is a
-    Gaussian about 2/((a_c-a) sqrt(p-1)) wide, wider than 40/(2(a_c-a))."""
-    # 120/k = 60 (p-1); the cap only keeps exp finite, as arccosh(e^40) > 40
-    envelope = math.acosh(math.exp(min(60.0 * (params.p - 1.0), 60.0)))
-    return max(30.0 / params.ac_minus_a, min(40.0, envelope) / params.gamma)
 
 
 # default_grid: powers of two from GRID_MIN_NODES up to GRID_MAX_NODES, with

@@ -281,10 +281,18 @@ def estimate_cbe(
     it.  The coefficient c* of Q - gap bound ~ c* eps^2, which could put c_BE
     below the bound, is not computed.  The exit value must respect
     0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a NumericalFailure is raised.
+    One is also raised, before any start is built, where Psi leaves the double
+    range on the grid (near p -> 1): the model's constants are then NaN, and
+    no start can be normalized.
     """
     if starts < 0:
         raise InvalidParameters(f"starts >= 0 violated: {starts}")
     model = model_for(params)
+    if math.isnan(model.kappa):
+        edge = "underflows" if model.energy_psi == 0.0 else "overflows"
+        raise NumericalFailure(
+            f"Psi {edge} on the grid at p = {params.p:.6g}: no start can be normalized"
+        )
     menu = [dip_start(model)] + [random_start(model, seed + k) for k in range(starts)]
     best = None
     for label, start in menu:

@@ -29,7 +29,6 @@ from .specfun import jacobi_polynomial, log_cosh
 __all__ = [
     "GapReport",
     "SpectralPoint",
-    "comparison_functions",
     "eigenfunction",
     "eigenvalue_closed",
     "harmonic_multiplicity",
@@ -76,20 +75,6 @@ def eigenvalue_closed(params: CknParams, i: int, j: int) -> SpectralPoint:
     return SpectralPoint(
         i=i, j=j, tau=tau, lam=lam, multiplicity=harmonic_multiplicity(params.N, i)
     )
-
-
-def comparison_functions(params: CknParams) -> tuple[float, float]:
-    """The pair (g, h) whose ratio orders the eigenvalue candidates.
-
-    g depends only on (N, a), h only on the exponent; g/h > 1 iff
-    lambda_{0,2} < lambda_{1,1}, and g/h > 2 iff lambda_{0,2} < lambda_{1,0}.
-    The ratio passes through 1 on b_FS(a) and through 2 on b_FS*(a).
-    """
-    d = params.ac_minus_a
-    g = math.sqrt(0.25 + (params.N - 1) / (4.0 * d * d)) - 0.5
-    u = 1.0 + params.a - params.b
-    h = u / (params.N - 2.0 * u)
-    return g, h
 
 
 @dataclass(frozen=True)

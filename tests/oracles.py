@@ -9,7 +9,7 @@ import numpy as np
 from scipy import integrate
 
 from cknlab.cylinder import CylinderFunction, CylinderModel
-from cknlab.extremals import GridSpec, bubble_half_width, profile, psi
+from cknlab.extremals import profile, psi
 from cknlab.params import CknParams
 from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
 from cknlab.spectrum import rho_02, rho_10_profile
@@ -19,6 +19,30 @@ def emden_fowler_image(params: CknParams, radial: Callable[[np.ndarray], np.ndar
     """Cylinder image e^(-(a_c-a) t) f(e^(-t)) of a radial function f(r)."""
     t = np.asarray(t, dtype=float)
     return np.exp(-params.ac_minus_a * t) * radial(np.exp(-t))
+
+
+def bubble_half_width(params: CknParams) -> float:
+    """Half-width of an axis window that holds the bubble: at least 30/(a_c-a),
+    and beyond that where the envelope cosh(gamma t)^(-k), k = 2/(p-1), falls
+    below e^-120, but at most at gamma t = 40.  As p -> 1 the envelope is a
+    Gaussian about 2/((a_c-a) sqrt(p-1)) wide, wider than 40/(2(a_c-a))."""
+    # 120/k = 60 (p-1); the cap only keeps exp finite, as arccosh(e^40) > 40
+    envelope = math.acosh(math.exp(min(60.0 * (params.p - 1.0), 60.0)))
+    return max(30.0 / params.ac_minus_a, min(40.0, envelope) / params.gamma)
+
+
+def comparison_functions(params: CknParams) -> tuple[float, float]:
+    """The pair (g, h) whose ratio orders the eigenvalue candidates.
+
+    g depends only on (N, a), h only on the exponent; g/h > 1 iff
+    lambda_{0,2} < lambda_{1,1}, and g/h > 2 iff lambda_{0,2} < lambda_{1,0}.
+    The ratio passes through 1 on b_FS(a) and through 2 on b_FS*(a).
+    """
+    d = params.ac_minus_a
+    g = math.sqrt(0.25 + (params.N - 1) / (4.0 * d * d)) - 0.5
+    u = 1.0 + params.a - params.b
+    h = u / (params.N - 2.0 * u)
+    return g, h
 
 
 def beta_reduction(m: float, n: float) -> float:
@@ -83,18 +107,18 @@ def jacobi_mode_h1_norm_sq(params: CknParams, i: int, j: int) -> float:
     return value
 
 
-def dense_pencil_eigenvalues(params: CknParams, i: int, count: int, grid: GridSpec) -> np.ndarray:
+def dense_pencil_eigenvalues(params: CknParams, i: int, count: int, t: np.ndarray) -> np.ndarray:
     """The ``count`` smallest eigenvalues of the mode-i second-difference pencil
-    A x = lambda W x (Dirichlet walls), ascending, as 1/mu for the largest
-    eigenvalues mu of the dense S = W^{1/2} A^{-1} W^{1/2}.
+    A x = lambda W x on the uniform nodes t, with Dirichlet walls one spacing
+    beyond each end, ascending, as 1/mu for the largest eigenvalues mu of the
+    dense S = W^{1/2} A^{-1} W^{1/2}.
 
     A and W are built here from the discretized equation
     -phi'' + tau_i phi = lambda beta sech^2(gamma t) phi, not taken from the
-    package, and S is formed by a dense solve, with no factorization shared
-    with the Lanczos oracle.
+    package: a discretization independent of the oracle's sinc collocation,
+    with its own O(h^2) error.
     """
-    t = grid.t()[1:-1]
-    h = grid.spacing
+    h = t[1] - t[0]
     a_mat = (
         np.diag(np.full(t.size, 2.0 / h**2 + params.tau(i)))
         - np.diag(np.full(t.size - 1, 1.0 / h**2), 1)
@@ -104,6 +128,19 @@ def dense_pencil_eigenvalues(params: CknParams, i: int, count: int, grid: GridSp
     s_mat = root[:, None] * np.linalg.solve(a_mat, np.diag(root))
     mu = np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
     return 1.0 / mu[::-1][:count]
+
+
+def sinc_pencil(params: CknParams, i: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mode-i sinc-collocation pencil (A, diagonal of W) on the uniform
+    nodes t, from the entry formulas of the sinc second-derivative matrix,
+    D2[j, k] = -2 (-1)^(j-k) / (h^2 (j-k)^2) and D2[j, j] = -pi^2 / (3 h^2),
+    with A = -D2 + tau_i I and W = beta sech^2(gamma t)."""
+    h = t[1] - t[0]
+    offset = np.subtract.outer(np.arange(t.size), np.arange(t.size))
+    with np.errstate(divide="ignore"):
+        d2 = -2.0 * (-1.0) ** offset / offset**2
+    np.fill_diagonal(d2, -math.pi**2 / 3.0)
+    return -d2 / h**2 + params.tau(i) * np.eye(t.size), params.beta / np.cosh(params.gamma * t) ** 2
 
 
 def psi_second(params: CknParams, t):

@@ -127,7 +127,7 @@ def test_criterion_02_gap_constants():
 
 def test_criterion_03_oracle_agreement():
     rng = np.random.default_rng(103)
-    with criterion("3", 60.0, "Lanczos eigenvalues vs closed forms, 20 points"):
+    with criterion("3", 60.0, "sinc-collocation eigenvalues vs closed forms, 20 points"):
         accepted = 0
         while accepted < 20:
             params = sample_valid_params(rng, p_cap=6.0)
@@ -150,7 +150,7 @@ def test_criterion_04_spectral_gap_inequality():
         assert report.value >= gap - 1e-3
         assert report.value == pytest.approx(gap, abs=1e-3)
         assert report.winner_mode == 0
-        t = report.grid.t()
+        t = report.t
         ref = rho_02(radial, t)
         cos = abs(np.dot(report.minimizer, ref)) / (
             np.linalg.norm(report.minimizer) * np.linalg.norm(ref)
@@ -163,7 +163,7 @@ def test_criterion_04_spectral_gap_inequality():
         assert report1.value >= gap1 - 1e-3
         assert report1.value == pytest.approx(gap1, abs=1e-3)
         assert report1.winner_mode == 1
-        t1 = report1.grid.t()
+        t1 = report1.t
         ref1 = rho_10_profile(degree_one, t1)
         cos1 = abs(np.dot(report1.minimizer, ref1)) / (
             np.linalg.norm(report1.minimizer) * np.linalg.norm(ref1)

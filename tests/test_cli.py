@@ -296,13 +296,16 @@ NULL_AT_THE_EDGE = {
 @pytest.mark.parametrize("command", ["zhat", "energy", "minimize"])
 def test_numerical_failure_exit_code(command):
     # near p -> 1 the closed forms report null where a value leaves the double
-    # range, while the minimizer, which cannot normalize a zero start, exits 3
+    # range, while the minimizer, which cannot normalize a zero start, names
+    # the underflow and exits 3
     code, out = run_cli([command, "4", "0.2", "1.1995"])
     doc = json.loads(out)
     if command == "minimize":
         assert code == 3
-        assert doc["kind"] in ("OverflowError", "ZeroDivisionError")
-        assert doc["error"]
+        assert doc == {
+            "error": "Psi underflows on the grid at p = 1.0005: no start can be normalized",
+            "kind": "NumericalFailure",
+        }
         return
     assert code == 0, out
     assert "Infinity" not in out
@@ -605,7 +608,10 @@ def test_closed_form_commands_do_not_load_quadrature():
         "        assert run_command(argv) == 0, argv\n"
         "    assert not scipy_modules(), (argv, scipy_modules())\n"
         "    assert argv[0] not in closed or 'numpy' not in sys.modules, argv\n"
-        "print(cknlab.generalized_eigenvalues(cknlab.make_params(4, 0.0, 0.5), 0, 2)[0])\n"
+        "params = cknlab.make_params(4, 0.0, 0.5)\n"
+        "print(cknlab.generalized_eigenvalues(params, 0, 2)[0])\n"
+        "cknlab.rayleigh_gap_check(params)\n"
+        "assert not scipy_modules(), scipy_modules()\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cknlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -613,6 +619,6 @@ def test_closed_form_commands_do_not_load_quadrature():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    # the oracle still solves, loading scipy on its first call
+    # the oracle solves with numpy alone
     closed = cknlab.eigenvalue_closed(make_params(4, 0.0, 0.5), 0, 0).lam
-    assert float(result.stdout) == pytest.approx(closed, rel=1e-6)
+    assert float(result.stdout) == pytest.approx(closed, rel=1e-12)

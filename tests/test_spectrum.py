@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cknlab.extremals import bubble_half_width, psi
+from cknlab.extremals import psi
 from cknlab.params import RegionClass, classify, curve_constants, felli_schneider, make_params
 from cknlab.specfun import jacobi_polynomial
 from cknlab.spectrum import (
-    comparison_functions,
     eigenvalue_closed,
     eigenfunction,
     harmonic_multiplicity,
@@ -17,7 +16,13 @@ from cknlab.spectrum import (
     spectral_gap,
 )
 from tests.conftest import sample_valid_params
-from tests.oracles import jacobi_mode, jacobi_mode_h1_norm_sq, orthogonality_check
+from tests.oracles import (
+    bubble_half_width,
+    comparison_functions,
+    jacobi_mode,
+    jacobi_mode_h1_norm_sq,
+    orthogonality_check,
+)
 
 
 def test_exact_eigenvalue_identities(rng):
