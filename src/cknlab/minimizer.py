@@ -1,4 +1,4 @@
-"""Sobolev-gradient descent on the stability quotient over discretized cylinder functions.
+"""H1-metric L-BFGS descent on the stability quotient over discretized cylinder functions.
 
 The quotient
 
@@ -12,19 +12,22 @@ dependence on the samples survives.  Iterates that sink below the manifold
 guard are rejected and the step halved, since the quotient is undefined on the
 manifold itself.
 
-Each step goes along the H1 Riesz representative of the sample gradient, the
-gradient divided by the Fourier multiplier omega^2 + tau_d of the H1 form
-(Neuberger's Sobolev gradient), which removes the omega^2 growth that stalls
-plain sample-gradient steps.  A start that is even in t keeps only the even
-part of each gradient.  For an even v the overlap <v, Psi_s^p> has two tied
-maxima at mirror-image shifts, so Q is the larger of two smooth branches, but
-their gradients are mirror images with one even part: along even functions Q
-is differentiable (Danskin), and the descent can stop on stationarity.
+The steps are limited-memory BFGS (Liu & Nocedal 1989) in the H1 metric: the
+two-loop recursion runs on the sample gradients, and its initial inverse
+Hessian is a multiple of the H1 Riesz map, the gradient divided by the Fourier
+multiplier omega^2 + tau_d of the H1 form (Neuberger's Sobolev gradient),
+which removes the omega^2 growth that stalls plain sample-gradient steps.  A
+start that is even in t keeps only the even part of each gradient.  For an
+even v the overlap <v, Psi_s^p> has two tied maxima at mirror-image shifts, so
+Q is the larger of two smooth branches, but their gradients are mirror images
+with one even part: along even functions Q is differentiable (Danskin), and
+the descent can stop on stationarity.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,17 +59,30 @@ __all__ = [
 # an accepted step keeps dist^2 above this share of |v|_H1^2, well clear of the
 # manifold, where the roundoff of Q grows like eps_mach / dist^2
 MANIFOLD_GUARD = 1e-8
-# descent recipe: first trial step and cap of the backtracking step along the
-# H1 gradient, relative tolerance on its H1 norm, the relative odd part below
-# which a start counts as even in t, and the H1 size of a random start's
-# perturbation relative to the bubble's
-INITIAL_STEP = 1.0
-MAX_STEP = 4.0
+# a descent that reaches dist^2 below this share of |v|_H1^2 stops: there the
+# roundoff of Q (about 2e-8) exceeds Q - gap bound, which it approaches
+NEAR_MANIFOLD = 100.0 * MANIFOLD_GUARD
+# descent recipe: L-BFGS memory, Armijo constant, least relative decrease of
+# an accepted step (the rounding floor of Q), relative tolerance on the H1
+# norm of the gradient, the relative odd part below which a start counts as
+# even in t, and the H1 size of a random start's perturbation relative to the
+# bubble's
+MEMORY = 8
+ARMIJO = 1e-4
+DECREASE_TOL = 1e-12
 GRADIENT_TOL = 1e-6
 EVEN_TOL = 1e-12
 RANDOM_AMPLITUDE = 0.05
-# separations s * gamma of the two-bubble dip scan
-DIP_SEPARATIONS = np.arange(5, 61) / 10.0
+# two-bubble dip search in s * gamma: the coarse scan, the half-width of the
+# bracket refined around its best, and the width that refinement stops at
+DIP_SCAN = np.arange(1, 13) / 2.0
+DIP_BRACKET = 0.5
+DIP_WIDTH = 0.02
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a later start replaces the best only if its Q is lower by more than
+# TIE_TOL max(1, |Q|): like the gradient test, a stop resolves Q to an absolute
+# level, and descents that reach one minimum stop up to 4.4e-12 apart
+TIE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -75,9 +91,10 @@ class QuotientReport:
 
     ``gradient_norm`` is the H1 norm of the last gradient computed, and
     ``stop`` says why the descent ended: ``"gradient"`` (that norm reached the
-    tolerance), ``"cap"`` (the iteration cap) or ``"stall"`` (the line search
-    found no descent); ``"limit"`` marks the gap limit of ``estimate_cbe``,
-    which no descent reached.
+    tolerance), ``"cap"`` (the iteration cap), ``"stall"`` (the line search
+    found no descent) or ``"manifold"`` (the iterate came within NEAR_MANIFOLD
+    of the manifold, where Q - gap bound is below Q's roundoff); ``"limit"``
+    marks the gap limit of ``estimate_cbe``, which no descent reached.
     """
 
     value: float
@@ -147,19 +164,43 @@ class _Objective:
 
 
 def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
-    """The centred two-bubble function Psi_{-s/2} + Psi_{s/2} at the separation
-    of least Q among s * gamma in DIP_SEPARATIONS, with its start label."""
+    """The centred two-bubble function Psi_{-s/2} + Psi_{s/2} of least Q found
+    by a bracketed search in s * gamma, with its start label.
+
+    The coarse scan DIP_SCAN (0.5, 1.0, ..., 6.0) brackets the dip; golden
+    sections refine the DIP_BRACKET neighbourhood of its best, inside the
+    scan's range, down to DIP_WIDTH.  The start is the best function
+    evaluated in either stage.
+    """
     params = model.params
-    best = None
-    for s in DIP_SEPARATIONS / params.gamma:
+    evaluated = []
+
+    def q_at(x: float) -> float:
+        s = x / params.gamma
         pair = psi(params, model.t + 0.5 * s) + psi(params, model.t - 0.5 * s)
         v = model.function({0: model.sqrt_area * pair})
         q, _, _ = model.quotient(v)
         # a separation that lands on the manifold has no quotient
         q = math.inf if math.isnan(q) else q
-        if best is None or q < best[0]:
-            best = (q, s, v)
-    _, s, v = best
+        evaluated.append((q, s, v))
+        return q
+
+    scan = [q_at(x) for x in DIP_SCAN]
+    centre = DIP_SCAN[scan.index(min(scan))]
+    lo = max(centre - DIP_BRACKET, DIP_SCAN[0])
+    hi = min(centre + DIP_BRACKET, DIP_SCAN[-1])
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    q1, q2 = q_at(x1), q_at(x2)
+    while hi - lo > DIP_WIDTH:
+        if q1 <= q2:
+            hi, x2, q2 = x2, x1, q1
+            x1 = hi - GOLDEN * (hi - lo)
+            q1 = q_at(x1)
+        else:
+            lo, x1, q1 = x1, x2, q2
+            x2 = lo + GOLDEN * (hi - lo)
+            q2 = q_at(x2)
+    _, s, v = min(evaluated, key=lambda entry: entry[0])
     return f"two-bubble dip s={s:.4g}", v
 
 
@@ -196,58 +237,99 @@ def _is_even(v: CylinderFunction) -> bool:
     return bool(odd <= EVEN_TOL * np.max(np.abs(v.values)))
 
 
+def _lbfgs_direction(
+    model: CylinderModel, degrees: tuple[int, ...], grads: np.ndarray, pairs: deque
+) -> np.ndarray:
+    """-H grads by the L-BFGS two-loop recursion over ``pairs`` of (s, y, <s, y>),
+    oldest first, with H0 = gamma riesz and gamma = <s, y> / <y, riesz(y)> of
+    the newest pair."""
+    q = grads.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alpha = float(np.sum(s * q)) / sy
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, sy = pairs[-1]
+    r = sy / float(np.sum(y * model.riesz(degrees, y))) * model.riesz(degrees, q)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - float(np.sum(y * r)) / sy) * s
+    return -r
+
+
 def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientReport:
-    """Backtracking H1-gradient descent on Q with the L^{p+1} normalization,
-    from ``start`` on the model of its parameter point.
+    """H1-metric L-BFGS descent on Q with the L^{p+1} normalization, from
+    ``start`` on the model of its parameter point.
 
     A start that is even in t descends along the even part of each gradient.
-    Steps that collapse onto the manifold guard are rejected with the step
-    halved.  The search stops when the H1 norm of the gradient reaches
-    GRADIENT_TOL max(1, |Q|), after ``max_iterations`` steps, or when the line
-    search finds no descent; the report, labelled ``start="explicit"``, says
-    which in ``stop``.
+    Each step backtracks from alpha = 1 along the L-BFGS direction (the Riesz
+    gradient where that is no descent direction) until Q falls by the Armijo
+    share ARMIJO of the slope and by DECREASE_TOL |Q|; steps that collapse
+    onto the manifold guard are halved alike.  The search stops when the H1
+    norm of the gradient reaches GRADIENT_TOL max(1, |Q|), after
+    ``max_iterations`` steps, when the line search finds no descent, or when
+    an iterate comes within NEAR_MANIFOLD of the manifold; the report,
+    labelled ``start="explicit"``, says which in ``stop``.
     """
     model = model_for(start.params)
     objective = _Objective(model)
     it = objective.normalized(start)
     _require_off_manifold(it.value)
     even = _is_even(it.v)
+    degrees = it.v.degrees
     trace = [(0, it.value)]
-    step = INITIAL_STEP
+    pairs: deque = deque(maxlen=MEMORY)
+    previous = None
     grad_norm = math.nan
     iterations = 0
-    stop = "cap"
-    for iteration in range(1, max_iterations + 1):
+    while True:
+        if it.projection.distance_sq < NEAR_MANIFOLD * it.projection.h1_sq:
+            stop = "manifold"
+            break
         grads = objective.gradient(it)
         if even:
             grads = 0.5 * (grads + grads[:, ::-1])
-        riesz = model.riesz(it.v.degrees, grads)
+        riesz = model.riesz(degrees, grads)
         q = it.value
         # <G, (h (D^T D + tau))^-1 G> = 2 <G, R> is the squared H1 norm of the gradient
-        grad_norm = math.sqrt(2.0 * float(np.sum(grads * riesz)))
+        grad_sq = float(np.sum(grads * riesz))
+        grad_norm = math.sqrt(2.0 * grad_sq)
         if grad_norm <= GRADIENT_TOL * max(1.0, abs(q)):
             stop = "gradient"
             break
-        direction = model.from_rows(it.v.degrees, -riesz)
-        alpha = step
+        if iterations == max_iterations:
+            stop = "cap"
+            break
+        if previous is not None:
+            s, y = it.v.values - previous[0], grads - previous[1]
+            sy = float(np.sum(s * y))
+            # a pair without positive curvature would make H indefinite
+            if sy > 0.0:
+                pairs.append((s, y, sy))
+        direction = _lbfgs_direction(model, degrees, grads, pairs) if pairs else -riesz
+        slope = float(np.sum(grads * direction))
+        if not slope < 0.0:
+            direction, slope = -riesz, -grad_sq
+        alpha = 1.0
         for _ in range(30):
-            candidate = objective.normalized(combine([1.0, alpha], [it.v, direction]))
+            trial = model.from_rows(degrees, it.v.values + alpha * direction)
+            candidate = objective.normalized(trial)
             # a step inside the manifold guard is halved like one that does not descend
             off = candidate.projection.distance_sq >= MANIFOLD_GUARD * candidate.projection.h1_sq
-            if off and candidate.value <= q - 1e-12 * abs(q):
+            ceiling = min(q + ARMIJO * alpha * slope, q - DECREASE_TOL * abs(q))
+            if off and candidate.value <= ceiling:
                 break
             alpha *= 0.5
         else:
-            if iteration == 1:
+            if iterations == 0:
                 raise NoDescent("line search failed at the first iterate")
             stop = "stall"
             break
         # the accepted candidate carries its pieces into the next gradient; an
         # accepted step always lowers Q, so the last iterate is the best
+        previous = (it.v.values, grads)
         it = candidate
-        step = min(MAX_STEP, 2.0 * alpha)
-        iterations = iteration
-        trace.append((iteration, it.value))
+        iterations += 1
+        trace.append((iterations, it.value))
     projection = it.projection
     return QuotientReport(
         value=it.value,
@@ -274,16 +356,20 @@ def estimate_cbe(
     The start menu is a list of (label, function) pairs: the two-bubble dip
     (``dip_start``) and ``starts`` seeded random perturbations of Psi, each
     descended by ``minimize_quotient``; a start that raises NoDescent or
-    OnManifold is dropped.  Q(Psi + eps rho*) tends to the gap bound as
-    eps -> 0, so c_BE <= gap bound.  Where the best descent ends above it, the
-    report is that limit, labelled ``"gap limit"`` with ``stop="limit"``, no
-    step, and NaN distance, shift and gradient norm, since no function attains
-    it.  The coefficient c* of Q - gap bound ~ c* eps^2, which could put c_BE
-    below the bound, is not computed.  The exit value must respect
-    0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a NumericalFailure is raised.
-    One is also raised, before any start is built, where Psi leaves the double
-    range on the grid (near p -> 1): the model's constants are then NaN, and
-    no start can be normalized.
+    OnManifold is dropped.  A later start replaces the best only if its value
+    is lower by more than TIE_TOL max(1, |Q|), so that starts reaching one
+    minimum keep the first label.  Q(Psi + eps rho*) tends to the gap bound as
+    eps -> 0, so c_BE <= gap bound.  Where the best descent ends above it, or
+    every descent stops near the manifold (``stop="manifold"``, where
+    Q - gap bound is below Q's roundoff and counts as an approach to that
+    bound), the report is that limit, labelled ``"gap limit"`` with
+    ``stop="limit"``, no step, and NaN distance, shift and gradient norm,
+    since no function attains it.  The coefficient c* of Q - gap bound ~
+    c* eps^2, which could put c_BE below the bound, is not computed.  The exit
+    value must respect 0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a
+    NumericalFailure is raised.  One is also raised, before any start is
+    built, where Psi leaves the double range on the grid (near p -> 1): the
+    model's constants are then NaN, and no start can be normalized.
     """
     if starts < 0:
         raise InvalidParameters(f"starts >= 0 violated: {starts}")
@@ -295,17 +381,20 @@ def estimate_cbe(
         )
     menu = [dip_start(model)] + [random_start(model, seed + k) for k in range(starts)]
     best = None
+    near_limit = False
     for label, start in menu:
         try:
             report = minimize_quotient(start, max_iterations)
         except (NoDescent, OnManifold):
             continue
-        if best is None or report.value < best.value:
+        if report.stop == "manifold":
+            near_limit = True
+        elif best is None or report.value < best.value - TIE_TOL * max(1.0, abs(best.value)):
             best = replace(report, start=label)
-    if best is None:
+    if best is None and not near_limit:
         raise NumericalFailure("no start produced a usable minimization")
-    bounds = best.bounds
-    if best.value > bounds.bound_gap:
+    bounds = bounds_report(params)
+    if best is None or best.value > bounds.bound_gap:
         best = QuotientReport(
             value=bounds.bound_gap,
             distance_sq=math.nan,

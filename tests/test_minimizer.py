@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cknlab import minimizer
 from cknlab.cylinder import combine, model_for, scale
-from cknlab.energy import zhat
+from cknlab.energy import bounds_report, zhat
+from cknlab.extremals import psi
 from cknlab.minimizer import (
     EVEN_TOL,
     NumericalFailure,
@@ -298,7 +301,9 @@ def test_estimate_cbe_deterministic(params_case2):
 
 
 # best quotients at the acceptance minimizer points (starts=1, seed=7): the
-# two-bubble dip descended in H1 along even functions, stopped on the gradient
+# two-bubble dip descended in H1 along even functions, stopped on the gradient;
+# the random start reaches the same minimum to about 1e-12 and must not take
+# the label from the dip
 REFERENCE_VALUES = {
     (4, 0.5, 0.6): 0.37602230543720194,
     (4, 0.0, 0.5): 0.2385193368718684,
@@ -320,6 +325,7 @@ def test_estimate_cbe_matches_reference_values(point, old_pin):
     assert report.value == pytest.approx(REFERENCE_VALUES[point], rel=1e-8)
     assert report.value <= old_pin
     assert report.stop == "gradient"
+    assert report.start.startswith("two-bubble dip s=")
 
 
 def test_dip_descent_stops_on_the_gradient(params_remaining):
@@ -351,3 +357,61 @@ def test_radial_minimum_depends_on_p_alone():
         assert params.p == pytest.approx(2.0769230769230769, rel=1e-14)
         values.append(minimize_quotient(dip_start(model_for(params))[1], 100).value)
     assert max(values) - min(values) <= 1e-10
+
+
+# stationary values of the dip descent under H1 L-BFGS (ROADMAP item 16); near
+# p -> 1 it needs the most steps, 41 at (4, 0, 0.98)
+LBFGS_VALUES = {
+    (4, 0.5, 0.6): 0.376022305436,
+    (4, 0.0, 0.5): 0.238519336871,
+    (5, 0.0, 0.35): 0.246362843615,
+    (7, 0.5774161577308949, 0.6336261551016267): 0.253828504233,
+    (4, 0.0, 0.9): 0.054967232662,
+    (4, 0.0, 0.98): 0.011318112688,
+}
+
+
+@pytest.mark.parametrize("point", list(LBFGS_VALUES))
+def test_dip_descent_reaches_the_stationary_value(point):
+    report = minimize_quotient(dip_start(model_for(make_params(*point)))[1], 60)
+    assert report.value == pytest.approx(LBFGS_VALUES[point], rel=1e-9)
+    assert report.stop == "gradient"
+    assert report.iterations <= 45
+
+
+@pytest.mark.parametrize("point", [*REFERENCE_VALUES, (5, 0.0, 0.35)])
+def test_dip_start_is_no_worse_than_the_separation_grid(point):
+    # the bracketed search against a scan of s * gamma = 0.5, 0.6, ..., 6
+    params = make_params(*point)
+    model = model_for(params)
+    grid = []
+    for s in np.arange(5, 61) / 10.0 / params.gamma:
+        pair = psi(params, model.t + 0.5 * s) + psi(params, model.t - 0.5 * s)
+        grid.append(model.quotient(model.function({0: model.sqrt_area * pair}))[0])
+    _, start = dip_start(model)
+    assert model.quotient(start)[0] <= min(grid)
+
+
+def test_descent_near_the_manifold_never_undercuts_the_gap_bound():
+    # along Psi + eps rho10 Q tends to the gap bound from above, and within
+    # NEAR_MANIFOLD its roundoff exceeds Q - gap bound
+    params = make_params(5, 0.0, 0.125)
+    model = model_for(params)
+    report = minimize_quotient(psi_plus(model, rho10_function(model), 1e-3), 60)
+    gap = report.bounds.bound_gap
+    assert report.stop == "manifold" or report.value >= gap - 1e-3
+    assert estimate_cbe(params, starts=1, seed=7).value <= gap
+
+
+def test_estimate_cbe_counts_manifold_stops_as_the_gap_limit(monkeypatch):
+    # a run that stops near the manifold below the gap bound, by roundoff
+    params = make_params(4, 0.5, 0.6)
+    gap = bounds_report(params).bound_gap
+    real = minimizer.minimize_quotient
+
+    def near_manifold(start, max_iterations):
+        return replace(real(start, 1), value=gap - 1e-8, stop="manifold")
+
+    monkeypatch.setattr(minimizer, "minimize_quotient", near_manifold)
+    report = estimate_cbe(params, starts=2, seed=7)
+    assert (report.value, report.start, report.stop) == (gap, "gap limit", "limit")
