@@ -27,7 +27,7 @@ _HOMES = {
         ("cylinder", "CylinderFunction CylinderModel model_for"),
         ("energy", "a0_coefficient appendix_report bounds_report fbar gap_perturbation_quotient "
                    "third_order_coefficient two_bubble_quotient zhat"),
-        ("minimizer", "dip_start estimate_cbe minimize_quotient quotient random_start"),
+        ("minimizer", "degree_one_start dip_start estimate_cbe minimize_quotient quotient"),
     )
     for name in names.split()
 }

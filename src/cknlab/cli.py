@@ -137,7 +137,7 @@ def _energy_fields(params: CknParams, report: RegionReport, args) -> dict:
 def _minimize_fields(params: CknParams, report: RegionReport, args) -> dict:
     from . import minimizer
 
-    best = minimizer.estimate_cbe(params, starts=args.starts, seed=args.seed)
+    best = minimizer.estimate_cbe(params)
     return {
         "q_best": best.value,
         "distance_sq": best.distance_sq,
@@ -145,6 +145,7 @@ def _minimize_fields(params: CknParams, report: RegionReport, args) -> dict:
         "iterations": best.iterations,
         "gradient_norm": best.gradient_norm,
         "start": best.start,
+        "stop": best.stop,
         "bounds": best.bounds,
         "trace": [[k, v] for k, v in best.trace],
     }
@@ -163,34 +164,34 @@ _COMMANDS = {
 }
 
 
-def _gap_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+def _gap_cells(params: CknParams, report: RegionReport) -> tuple:
     gap = spectrum.spectral_gap(params)
     return gap.lambda_star, f"{gap.winner[0]}{gap.winner[1]}", gap.lambda_star_variant
 
 
-def _bounds_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+def _bounds_cells(params: CknParams, report: RegionReport) -> tuple:
     b = energy.bounds_report(params)
     return b.bound_two_bubble, b.bound_two_bubble_variant, b.bound_gap, b.effective_bound
 
 
-def _zhat_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+def _zhat_cells(params: CknParams, report: RegionReport) -> tuple:
     z = energy.zhat(params)
     return z.value, z.value_variational, z.q_star
 
 
-def _minimize_cells(params: CknParams, report: RegionReport, seed: int) -> tuple:
+def _minimize_cells(params: CknParams, report: RegionReport) -> tuple:
     from . import minimizer
 
-    best = minimizer.estimate_cbe(params, starts=1, seed=seed)
+    best = minimizer.estimate_cbe(params)
     return best.value, best.iterations, best.start
 
 
 # one cells function per sweep task, in the order of SWEEP_COLUMNS; each is
-# called as cells(params, report, seed) and returns the values of
-# SWEEP_COLUMNS[task] in that order
+# called as cells(params, report) and returns the values of SWEEP_COLUMNS[task]
+# in that order
 _SWEEP_TASKS = {
-    "region": lambda params, report, seed: (report.b_fs, report.b_fs_star, report.a_c_star),
-    "spectrum": lambda params, report, seed: tuple(
+    "region": lambda params, report: (report.b_fs, report.b_fs_star, report.a_c_star),
+    "spectrum": lambda params, report: tuple(
         spectrum.eigenvalue_closed(params, i, j).lam
         for i, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))
     ),
@@ -204,7 +205,9 @@ _SWEEP_TASKS = {
 def _sweep_point_row(task_args) -> dict:
     """One sweep row; a task that fails numerically leaves its cells empty and
     is named in the row's ``error`` entry."""
-    n_dim, a, b, tasks, seed = task_args
+    # the traced sweep replay of perfbench/workloads.py still passes
+    # (N, a, b, tasks, seed) tuples; the seed selects nothing
+    n_dim, a, b, tasks = task_args[:4]
     row: dict[str, Any] = {"N": n_dim, "a": a, "b": b}
     try:
         params = make_params(n_dim, a, b)
@@ -218,7 +221,7 @@ def _sweep_point_row(task_args) -> dict:
         if task not in tasks:
             continue
         try:
-            row.update(zip(SWEEP_COLUMNS[task], cells(params, report, seed)))
+            row.update(zip(SWEEP_COLUMNS[task], cells(params, report)))
         except NUMERICAL_ERRORS as exc:
             errors.append(f"{task}: {type(exc).__name__}")
     if errors:
@@ -302,7 +305,6 @@ def _sweep_plan(config: Any) -> tuple[list, tuple, str, Any]:
     if unknown:
         raise InvalidParameters(f"unknown sweep tasks: {sorted(unknown)}")
     tasks = tuple(tasks)
-    seed = _integer(config.get("seed", 0), "seed")
     out_format = config.get("format", "csv")
     if not isinstance(out_format, str) or out_format.lower() not in ("csv", "json"):
         raise InvalidParameters(f"unknown format {out_format!r}")
@@ -321,7 +323,7 @@ def _sweep_plan(config: Any) -> tuple[list, tuple, str, Any]:
                 base = math.nan
             b_values = [base + off for off in offsets]
         for b in b_values:
-            points.append((n_dim, float(a), float(b), tasks, seed + len(points)))
+            points.append((n_dim, float(a), float(b), tasks))
     return points, tasks, out_format.lower(), output
 
 
@@ -389,10 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=10.0, help="bubble separation in 1/gamma units")
     sp.add_argument("--eps", type=float, default=0.01)
     point_args(sub.add_parser("zhat", help="quartic coefficient and sign analysis"))
-    sp = sub.add_parser("minimize", help="multi-start quotient minimization")
-    point_args(sp)
-    sp.add_argument("--starts", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
+    point_args(sub.add_parser("minimize", help="two-start quotient minimization"))
     sp = sub.add_parser("sweep", help="batch evaluation over an (a, b) grid")
     sp.add_argument("--config", required=True, help="JSON file mirroring the sweep schema")
     return parser
@@ -410,12 +409,7 @@ def run_command(argv=None) -> int:
     except (ParameterError, *NUMERICAL_ERRORS) as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return 2 if isinstance(exc, ParameterError) else 3
-    doc = {"command": args.subcommand}
-    if args.subcommand == "minimize":  # the run's seed and starts lead the payload
-        doc.update(seed=args.seed, starts=args.starts)
-    doc.update(_params_payload(params, report))
-    doc.update(fields)
-    _emit(doc)
+    _emit({"command": args.subcommand, **_params_payload(params, report), **fields})
     return 0
 
 

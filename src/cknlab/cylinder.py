@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .extremals import GridSpec, default_grid, psi, psi_prime
+from .extremals import GridSpec, default_grid, psi
 from .params import CknParams, SearchFailure
 from .spectrum import rho_02
 from .specfun import sphere_area
@@ -176,7 +176,6 @@ class CylinderModel:
             self.omega[-1] = 0.0
 
         self.psi_values = psi(params, self.t)
-        self.psi_prime_values = psi_prime(params, self.t)
         self.psi_pow_values = self.psi_values**params.p
         # spectrum of the reversed Psi^p, zero-padded to 2n: one product with
         # rfft(v) is the full linear correlation that the shift scan needs
@@ -246,9 +245,6 @@ class CylinderModel:
         values = self.psi_values if shift == 0.0 else psi(self.params, self.t - shift)
         return self.function({0: scalar * self.sqrt_area * values})
 
-    def psi_prime_function(self) -> CylinderFunction:
-        return self.function({0: self.sqrt_area * self.psi_prime_values})
-
     def rho02_function(self) -> CylinderFunction:
         return self.function({0: self.sqrt_area * rho_02(self.params, self.t)})
 
@@ -257,22 +253,6 @@ class CylinderModel:
             raise ValueError("second bubble does not fit the grid")
         values = self.psi_values + psi(self.params, self.t - s)
         return self.function({0: self.sqrt_area * values})
-
-    def random_mperp(self, seed: int, amplitude: float = 1.0) -> CylinderFunction:
-        """Smooth random function of degrees 0 and 1, orthogonal to the soft modes."""
-        rng = np.random.default_rng(seed)
-        envelope = np.exp(-((self.t / (self.grid.half_width / 3.0)) ** 2))
-        modes = {}
-        for degree in (0, 1):
-            coeffs = rng.standard_normal(8)
-            waves = np.stack(
-                [np.cos((k + 1) * math.pi * self.t / self.grid.half_width) for k in range(8)]
-            )
-            modes[degree] = envelope * (coeffs @ waves)
-        noise = self.function(modes)
-        noise = self.project_mperp(noise)
-        norm = math.sqrt(self.h1_inner(noise, noise))
-        return scale(noise, amplitude / norm)
 
     # ------------------------------------------------------------------
     # norms and inner products
@@ -421,15 +401,6 @@ class CylinderModel:
             edge_attained=best <= 1 or best >= len(shifts) - 2,
             h1_sq=h1_sq,
         )
-
-    def project_mperp(self, v: CylinderFunction) -> CylinderFunction:
-        """Remove the H1 projections onto the bubble and its derivative."""
-        self._check(v)
-        psi_f = self.psi_function()
-        psi_prime_f = self.psi_prime_function()
-        c1 = self.h1_inner(v, psi_f) / self.h1_inner(psi_f, psi_f)
-        c2 = self.h1_inner(v, psi_prime_f) / self.h1_inner(psi_prime_f, psi_prime_f)
-        return combine([1.0, -c1, -c2], [v, psi_f, psi_prime_f])
 
 
 @lru_cache(maxsize=8)

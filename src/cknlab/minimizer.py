@@ -22,6 +22,9 @@ even v the overlap <v, Psi_s^p> has two tied maxima at mirror-image shifts, so
 Q is the larger of two smooth branches, but their gradients are mirror images
 with one even part: along even functions Q is differentiable (Danskin), and
 the descent can stop on stationarity.
+
+``estimate_cbe`` descends from two deterministic starts: the two-bubble dip,
+and Psi plus the degree-one ground state rho_10.
 """
 
 from __future__ import annotations
@@ -42,18 +45,19 @@ from .cylinder import (
 )
 from .energy import BoundsReport, bounds_report
 from .extremals import psi
-from .params import CknParams, InvalidParameters, NoDescent, NumericalFailure, OnManifold
+from .params import CknParams, NoDescent, NumericalFailure, OnManifold
+from .spectrum import rho_10_profile
 
 __all__ = [
     "NoDescent",
     "NumericalFailure",
     "OnManifold",
     "QuotientReport",
+    "degree_one_start",
     "dip_start",
     "estimate_cbe",
     "minimize_quotient",
     "quotient",
-    "random_start",
 ]
 
 # an accepted step keeps dist^2 above this share of |v|_H1^2, well clear of the
@@ -65,14 +69,14 @@ NEAR_MANIFOLD = 100.0 * MANIFOLD_GUARD
 # descent recipe: L-BFGS memory, Armijo constant, least relative decrease of
 # an accepted step (the rounding floor of Q), relative tolerance on the H1
 # norm of the gradient, the relative odd part below which a start counts as
-# even in t, and the H1 size of a random start's perturbation relative to the
-# bubble's
+# even in t, and the H1 size of the degree-one start's perturbation relative
+# to the bubble's
 MEMORY = 8
 ARMIJO = 1e-4
 DECREASE_TOL = 1e-12
 GRADIENT_TOL = 1e-6
 EVEN_TOL = 1e-12
-RANDOM_AMPLITUDE = 0.05
+DEGREE_ONE_AMPLITUDE = 0.05
 # two-bubble dip search in s * gamma: the coarse scan, the half-width of the
 # bracket refined around its best, and the width that refinement stops at
 DIP_SCAN = np.arange(1, 13) / 2.0
@@ -204,11 +208,17 @@ def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
     return f"two-bubble dip s={s:.4g}", v
 
 
-def random_start(model: CylinderModel, seed: int) -> tuple[str, CylinderFunction]:
-    """Psi plus a seeded smooth perturbation orthogonal to the soft modes, of
-    H1 size RANDOM_AMPLITUDE |Psi|_H1, with its start label."""
-    noise = model.random_mperp(seed, RANDOM_AMPLITUDE * math.sqrt(model.energy_psi))
-    return f"random seed={seed}", combine([1.0, 1.0], [model.psi_function(), noise])
+def degree_one_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
+    """Psi plus the degree-one ground state rho_10, of H1 size
+    DEGREE_ONE_AMPLITUDE |Psi|_H1, with its start label.
+
+    Degree one is H1- and L2-orthogonal to every radial function, Psi and
+    Psi' among them, so the perturbation needs no projection off the soft
+    modes.
+    """
+    rho = model.function({1: rho_10_profile(model.params, model.t)})
+    c = DEGREE_ONE_AMPLITUDE * math.sqrt(model.energy_psi / model.h1_inner(rho, rho))
+    return "degree-one start", combine([1.0, c], [model.psi_function(), rho])
 
 
 def quotient(v: CylinderFunction) -> QuotientReport:
@@ -346,43 +356,46 @@ def minimize_quotient(start: CylinderFunction, max_iterations: int) -> QuotientR
 
 def estimate_cbe(
     params: CknParams,
-    starts: int = 2,
-    seed: int = 0,
+    *,
     max_iterations: int = 60,
+    starts: object = None,
+    seed: object = None,
 ) -> QuotientReport:
-    """Multi-start quotient minimization; returns the best report, labelled
+    """Two-start quotient minimization; returns the best report, labelled
     with its start, or the gap bound where every descent ends above it.
 
-    The start menu is a list of (label, function) pairs: the two-bubble dip
-    (``dip_start``) and ``starts`` seeded random perturbations of Psi, each
-    descended by ``minimize_quotient``; a start that raises NoDescent or
-    OnManifold is dropped.  A later start replaces the best only if its value
-    is lower by more than TIE_TOL max(1, |Q|), so that starts reaching one
-    minimum keep the first label.  Q(Psi + eps rho*) tends to the gap bound as
-    eps -> 0, so c_BE <= gap bound.  Where the best descent ends above it, or
-    every descent stops near the manifold (``stop="manifold"``, where
-    Q - gap bound is below Q's roundoff and counts as an approach to that
-    bound), the report is that limit, labelled ``"gap limit"`` with
-    ``stop="limit"``, no step, and NaN distance, shift and gradient norm,
-    since no function attains it.  The coefficient c* of Q - gap bound ~
-    c* eps^2, which could put c_BE below the bound, is not computed.  The exit
-    value must respect 0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a
-    NumericalFailure is raised.  One is also raised, before any start is
-    built, where Psi leaves the double range on the grid (near p -> 1): the
-    model's constants are then NaN, and no start can be normalized.
+    The start menu is the two-bubble dip (``dip_start``), then Psi plus the
+    degree-one ground state (``degree_one_start``), the one probe of
+    non-radial directions; each is descended by ``minimize_quotient``, and a
+    start that raises NoDescent or OnManifold is dropped.  The degree-one
+    start replaces the dip's report only if its value is lower by more than
+    TIE_TOL max(1, |Q|), so that both starts reaching one minimum keep the
+    dip's label.  Q(Psi + eps rho*) tends to the gap bound as eps -> 0, so
+    c_BE <= gap bound.  Where the best descent ends above it, or every
+    descent stops near the manifold (``stop="manifold"``, where Q - gap bound
+    is below Q's roundoff and counts as an approach to that bound), the
+    report is that limit, labelled ``"gap limit"`` with ``stop="limit"``, no
+    step, and NaN distance, shift and gradient norm, since no function
+    attains it.  The coefficient c* of Q - gap bound ~ c* eps^2, which could
+    put c_BE below the bound, is not computed.  The exit value must respect
+    0 < Q <= min(gap bound, two-bubble bound) + 1e-3 or a NumericalFailure is
+    raised.  One is also raised, before any start is built, where Psi leaves
+    the double range on the grid (near p -> 1): the model's constants are
+    then NaN, and no start can be normalized.
+
+    ``starts`` and ``seed`` are accepted and ignored: they chose seeded
+    random starts, which the degree-one start replaced, and the benchmark's
+    ``minimize`` workload still passes them.
     """
-    if starts < 0:
-        raise InvalidParameters(f"starts >= 0 violated: {starts}")
     model = model_for(params)
     if math.isnan(model.kappa):
         edge = "underflows" if model.energy_psi == 0.0 else "overflows"
         raise NumericalFailure(
             f"Psi {edge} on the grid at p = {params.p:.6g}: no start can be normalized"
         )
-    menu = [dip_start(model)] + [random_start(model, seed + k) for k in range(starts)]
     best = None
     near_limit = False
-    for label, start in menu:
+    for label, start in (dip_start(model), degree_one_start(model)):
         try:
             report = minimize_quotient(start, max_iterations)
         except (NoDescent, OnManifold):

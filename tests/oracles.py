@@ -8,8 +8,8 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from cknlab.cylinder import CylinderFunction, CylinderModel
-from cknlab.extremals import profile, psi
+from cknlab.cylinder import CylinderFunction, CylinderModel, combine, scale
+from cknlab.extremals import profile, psi, psi_prime
 from cknlab.params import CknParams
 from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
 from cknlab.spectrum import rho_02, rho_10_profile
@@ -177,6 +177,32 @@ def rho10_function(model: CylinderModel) -> CylinderFunction:
     # raw coordinate harmonic theta_N = sqrt(|S|/N) * (orthonormal Y_1)
     coeff = math.sqrt(model.area / model.params.N)
     return model.function({1: coeff * rho_10_profile(model.params, model.t)})
+
+
+def psi_prime_function(model: CylinderModel) -> CylinderFunction:
+    """The bubble's axis derivative Psi' on the model's grid."""
+    return model.function({0: model.sqrt_area * psi_prime(model.params, model.t)})
+
+
+def project_mperp(model: CylinderModel, v: CylinderFunction) -> CylinderFunction:
+    """``v`` less its H1 projections onto the soft modes Psi and Psi'."""
+    psi_f = model.psi_function()
+    psi_prime_f = psi_prime_function(model)
+    c1 = model.h1_inner(v, psi_f) / model.h1_inner(psi_f, psi_f)
+    c2 = model.h1_inner(v, psi_prime_f) / model.h1_inner(psi_prime_f, psi_prime_f)
+    return combine([1.0, -c1, -c2], [v, psi_f, psi_prime_f])
+
+
+def random_mperp(model: CylinderModel, seed: int, amplitude: float = 1.0) -> CylinderFunction:
+    """A seeded smooth function of degrees 0 and 1, orthogonal to the soft
+    modes, of H1 size ``amplitude``: a generic non-radial test function."""
+    rng = np.random.default_rng(seed)
+    t, half_width = model.t, model.grid.half_width
+    envelope = np.exp(-((t / (half_width / 3.0)) ** 2))
+    waves = np.stack([np.cos((k + 1) * math.pi * t / half_width) for k in range(8)])
+    noise = model.function({d: envelope * (rng.standard_normal(8) @ waves) for d in (0, 1)})
+    noise = project_mperp(model, noise)
+    return scale(noise, amplitude / math.sqrt(model.h1_inner(noise, noise)))
 
 
 def numerator_gradient(model: CylinderModel, v: CylinderFunction) -> np.ndarray:

@@ -39,7 +39,7 @@ from cknlab.params import RegionClass, classify, felli_schneider, make_params
 from cknlab.specfun import cosh_power_integral, sphere_area
 from cknlab.spectrum import eigenvalue_closed, rho_02, rho_10_profile, spectral_gap
 from tests.conftest import sample_valid_params
-from tests.oracles import neg_laplacian, numerator_gradient, rho10_function
+from tests.oracles import neg_laplacian, numerator_gradient, random_mperp, rho10_function
 from tests.test_specfun import quad_cosh_power
 
 
@@ -315,10 +315,10 @@ def test_criterion_09_quartic_sign_and_reconstruction():
 
 
 def test_criterion_10_minimizer_sanity():
-    with criterion("10", 600.0, "multi-start minimization within bounds, deterministic"):
+    with criterion("10", 600.0, "two-start minimization within bounds, deterministic"):
         for point in ((4, 0.5, 0.6), (4, 0.0, 0.5), (4, 0.0, 0.3)):
             params = make_params(*point)
-            report = estimate_cbe(params, starts=1, seed=7)
+            report = estimate_cbe(params)
             ceiling = min(report.bounds.bound_gap, report.bounds.bound_two_bubble) + 1e-3
             assert 1e-4 < report.value <= ceiling
 
@@ -330,8 +330,8 @@ def test_criterion_10_minimizer_sanity():
         iterates = [
             combine([1.0, 0.05], [model.psi_function(), model.rho02_function()]),
             combine([1.0, 0.1, 0.05], [model.psi_function(), model.rho02_function(), rho10_function(model)]),
-            combine([1.0, 1.0], [model.psi_function(), model.random_mperp(1, 0.2)]),
-            combine([1.0, 1.0], [model.psi_function(), model.random_mperp(2, 0.4)]),
+            combine([1.0, 1.0], [model.psi_function(), random_mperp(model, 1, 0.2)]),
+            combine([1.0, 1.0], [model.psi_function(), random_mperp(model, 2, 0.4)]),
             combine([1.0, 0.2], [model.psi_function(), rho10_function(model)]),
         ]
 
@@ -359,8 +359,8 @@ def test_criterion_10_minimizer_sanity():
                 scale = _gradient_scale(model, v, direction)
                 assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-6 * scale)
 
-        first = estimate_cbe(params, starts=1, seed=7, max_iterations=15)
-        second = estimate_cbe(params, starts=1, seed=7, max_iterations=15)
+        first = estimate_cbe(params, max_iterations=15)
+        second = estimate_cbe(params, max_iterations=15)
         assert first.trace == second.trace
 
 

@@ -111,7 +111,6 @@ def test_sweep_csv(tmp_path):
         "tasks": ["gap", "bounds"],
         "format": "csv",
         "output": str(tmp_path / "sweep.csv"),
-        "seed": 0,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -177,16 +176,12 @@ def test_sweep_config_validation(tmp_path):
         [4, 0.0, 1.0],
         {"N": 4, "a_range": {"min": "x", "max": 1.0, "steps": 2},
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
-        {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
-         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}, "seed": "s"},
         {"N": 4, "a_range": [0, 1, 2],
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
         {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}, "format": "xml"},
         {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 3.7},
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
-        {"N": 4, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
-         "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}, "seed": 1.5},
         {"N": True, "a_range": {"min": 0.0, "max": 1.0, "steps": 2},
          "b_rule": {"type": "absolute", "min": 0.0, "max": 1.0, "steps": 2}},
     ]
@@ -208,21 +203,19 @@ def test_sweep_config_validation(tmp_path):
     # a missing key is named; an unreadable file says why
     assert errors[5:7] == ["sweep config lacks N", "a_range lacks min"]
     # a malformed value names its key
-    assert errors[8:15] == [
+    assert errors[8:13] == [
         "a_range.min is not a number: 'x'",
-        "seed is not a number: 's'",
         "a_range is not a JSON object",
         "unknown format 'xml'",
         "a_range.steps is not an integer: 3.7",
-        "seed is not an integer: 1.5",
         "N is not an integer: True",
     ]
     assert "No such file" in errors[-1]
     # numeric strings and integral floats are read as integers
     plain = {"N": 4, "a_range": {"min": 0.0, "max": 0.3, "steps": 2},
-             "b_rule": {"type": "absolute", "min": 0.35, "max": 0.9, "steps": 3}, "seed": 2}
+             "b_rule": {"type": "absolute", "min": 0.35, "max": 0.9, "steps": 3}}
     spelled = {"N": "4", "a_range": {"min": 0.0, "max": 0.3, "steps": 2.0},
-               "b_rule": {"type": "absolute", "min": 0.35, "max": 0.9, "steps": "3"}, "seed": 2.0}
+               "b_rule": {"type": "absolute", "min": 0.35, "max": 0.9, "steps": "3"}}
     outputs = []
     for k, config in enumerate((plain, spelled)):
         path = tmp_path / f"good{k}.json"
@@ -238,7 +231,6 @@ def test_sweep_offsets_mode(tmp_path):
         "b_rule": {"type": "offset_fs", "offsets": [1e-2, 1e-4]},
         "tasks": ["gap"],
         "format": "json",
-        "seed": 1,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -359,11 +351,20 @@ def test_closed_forms_report_null_near_p_to_1(command, n_dim, a, b):
         assert same_as_api(doc[key], value), key
 
 
-def test_minimize_remaining_point_where_the_dip_ends_above_the_gap():
-    code, out = run_cli(["minimize", "5", "0", "0.125", "--starts", "1"])
+def test_minimize_payload_reports_why_the_descent_stopped():
+    code, out = run_cli(["minimize", "4", "0.5", "0.6"])
     assert code == 0, out
     doc = json.loads(out)
-    assert doc["start"] == "gap limit"
+    assert doc["start"].startswith("two-bubble dip s=")
+    assert doc["stop"] == "gradient"
+    assert "seed" not in doc and "starts" not in doc
+
+
+def test_minimize_remaining_point_where_the_dip_ends_above_the_gap():
+    code, out = run_cli(["minimize", "5", "0", "0.125"])
+    assert code == 0, out
+    doc = json.loads(out)
+    assert (doc["start"], doc["stop"]) == ("gap limit", "limit")
     bounds = doc["bounds"]
     assert doc["q_best"] == bounds["bound_gap"]
     assert 0.0 < doc["q_best"] <= min(bounds["bound_gap"], bounds["bound_two_bubble"]) + 1e-3
@@ -378,7 +379,6 @@ def test_minimize_remaining_point_where_the_dip_ends_above_the_gap():
         (["energy", "4", "0", "0.5", "--eps", "0.5"], "eps"),
         (["energy", "4", "0", "0.5", "--s", "1000"], "separation"),
         (["energy", "4", "0", "0.5", "--s", "-3"], "separation"),
-        (["minimize", "4", "0", "0.5", "--starts", "-2"], "starts"),
     ],
 )
 def test_out_of_range_option_exits_2(argv, named):
@@ -486,22 +486,24 @@ def test_sweep_keeps_rows_with_failed_tasks(tmp_path, monkeypatch, capsys):
     from cknlab import cli
 
     zhat_cells = cli._SWEEP_TASKS["zhat"]
+    b_lo, b_step = 1.198, (1.1999 - 1.198) / 19
 
-    def failing_zhat_cells(params, report, seed):
-        # each row has its own seed: a quarter of the rows overflow and a
-        # quarter divide by zero
-        if seed % 4 == 0:
+    def failing_zhat_cells(params, report):
+        # by the row's b index: a quarter of the rows overflow and a quarter
+        # divide by zero
+        index = round((params.b - b_lo) / b_step)
+        if index % 4 == 0:
             raise OverflowError("zhat overflows")
-        if seed % 4 == 1:
+        if index % 4 == 1:
             raise ZeroDivisionError("zhat divides by zero")
-        return zhat_cells(params, report, seed)
+        return zhat_cells(params, report)
 
     # the pool forks its workers, which inherit the patched table
     monkeypatch.setitem(cli._SWEEP_TASKS, "zhat", failing_zhat_cells)
     config = {
         "N": 4,
         "a_range": {"min": 0.2, "max": 0.2, "steps": 1},
-        "b_rule": {"type": "absolute", "min": 1.198, "max": 1.1999, "steps": 20},
+        "b_rule": {"type": "absolute", "min": b_lo, "max": 1.1999, "steps": 20},
         "tasks": ["region", "zhat"],
         "format": "csv",
     }
@@ -520,6 +522,7 @@ def test_sweep_keeps_rows_with_failed_tasks(tmp_path, monkeypatch, capsys):
     kinds = {f["error"] for f in failures}
     assert kinds == {"zhat: OverflowError", "zhat: ZeroDivisionError"}
     failed_b = {f["b"] for f in failures}
+    assert sorted(failed_b) == pytest.approx([b_lo + k * b_step for k in range(20) if k % 4 < 2])
 
     rows = list(csv.reader(io.StringIO(out)))
     header, data = rows[0], rows[1:]
@@ -553,7 +556,6 @@ def test_sweep_minimize_task_matches_estimate_cbe(tmp_path):
         "b_rule": {"type": "absolute", "min": 0.6, "max": 0.6, "steps": 1},
         "tasks": ["minimize"],
         "format": "json",
-        "seed": 5,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -562,7 +564,7 @@ def test_sweep_minimize_task_matches_estimate_cbe(tmp_path):
     doc = json.loads(out)
     assert doc["columns"] == ["N", "a", "b", "region", "q_best", "q_iterations", "q_start"]
     (row,) = doc["rows"]
-    report = estimate_cbe(make_params(4, 0.5, 0.6), starts=1, seed=5)
+    report = estimate_cbe(make_params(4, 0.5, 0.6))
     assert (row["q_best"], row["q_iterations"], row["q_start"]) == (
         report.value,
         report.iterations,
@@ -602,7 +604,7 @@ def test_closed_form_commands_do_not_load_quadrature():
         "assert 'numpy' not in sys.modules\n"
         "closed = ('region', 'spectrum', 'gap', 'bounds', 'zhat')\n"
         "runs = [[c, '4', '0', '0.5'] for c in closed + ('energy',)]\n"
-        "runs.append(['minimize', '4', '0.5', '0.6', '--starts', '1', '--seed', '3'])\n"
+        "runs.append(['minimize', '4', '0.5', '0.6'])\n"
         "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run_command(argv) == 0, argv\n"

@@ -20,7 +20,15 @@ from cknlab.energy import rho02_h1_norm_sq
 from cknlab.extremals import GridSpec, default_grid, psi, psi_norms
 from cknlab.params import felli_schneider, make_params
 from tests.conftest import sample_valid_params
-from tests.oracles import derivative_dot_h1_inner, lp1_norm, rho10_function, tensor_lp1_pow
+from tests.oracles import (
+    derivative_dot_h1_inner,
+    lp1_norm,
+    project_mperp,
+    psi_prime_function,
+    random_mperp,
+    rho10_function,
+    tensor_lp1_pow,
+)
 
 
 @pytest.mark.parametrize("n_dim", range(2, 9))
@@ -163,7 +171,7 @@ def test_default_grid_node_counts():
 def test_h1_orthogonality_of_soft_modes(params_case2):
     model = model_for(params_case2)
     psif = model.psi_function()
-    psip = model.psi_prime_function()
+    psip = psi_prime_function(model)
     bound = 1e-10 * math.sqrt(model.h1_inner(psif, psif) * model.h1_inner(psip, psip))
     assert abs(model.h1_inner(psif, psip)) < bound
 
@@ -338,8 +346,8 @@ def test_projection_of_psi_where_the_squared_overlap_overflows():
 def test_cauchy_schwarz(params_case2, rng):
     model = model_for(params_case2)
     for _ in range(10):
-        u = model.random_mperp(int(rng.integers(1 << 31)), 1.0)
-        v = model.random_mperp(int(rng.integers(1 << 31)), 2.0)
+        u = random_mperp(model, int(rng.integers(1 << 31)), 1.0)
+        v = random_mperp(model, int(rng.integers(1 << 31)), 2.0)
         lhs = model.h1_inner(u, v) ** 2
         rhs = model.h1_inner(u, u) * model.h1_inner(v, v)
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -348,20 +356,20 @@ def test_cauchy_schwarz(params_case2, rng):
 def test_mperp_projection(params_case2):
     model = model_for(params_case2)
     psif = model.psi_function()
-    projected = model.project_mperp(psif)
+    projected = project_mperp(model, psif)
     assert model.h1_inner(projected, projected) < 1e-20 * model.energy_psi
 
     rho = model.rho02_function()
-    kept = model.project_mperp(rho)
+    kept = project_mperp(model, rho)
     diff = combine([1.0, -1.0], [kept, rho])
     assert model.h1_inner(diff, diff) < 1e-16 * model.h1_inner(rho, rho)
 
-    noise = model.random_mperp(5, 1.0)
-    once = model.project_mperp(noise)
-    twice = model.project_mperp(once)
+    noise = random_mperp(model, 5, 1.0)
+    once = project_mperp(model, noise)
+    twice = project_mperp(model, once)
     diff2 = combine([1.0, -1.0], [once, twice])
     assert model.h1_inner(diff2, diff2) < 1e-24 * model.h1_inner(once, once)
-    for reference in (psif, model.psi_prime_function()):
+    for reference in (psif, psi_prime_function(model)):
         bound = 1e-10 * math.sqrt(
             model.h1_inner(once, once) * model.h1_inner(reference, reference)
         )
@@ -380,7 +388,7 @@ def test_grid_mismatch_rejected(params_case2, params_remaining):
 def test_supremum_attained_interior(params_case2, rng):
     model = model_for(params_case2)
     for _ in range(5):
-        noise = model.random_mperp(int(rng.integers(1 << 31)), 0.3)
+        noise = random_mperp(model, int(rng.integers(1 << 31)), 0.3)
         v = combine([1.0, 1.0], [model.psi_function(), noise])
         projection = model.distance_to_manifold(v)
         assert not projection.edge_attained

@@ -17,7 +17,7 @@ from cknlab.extremals import (
 from cknlab.params import make_params
 from cknlab.specfun import sphere_area
 from tests.conftest import sample_valid_params
-from tests.oracles import emden_fowler_image, psi_second
+from tests.oracles import emden_fowler_image, psi_second, random_mperp
 
 
 def h1_quadrature(params, f, fp, half=None):
@@ -178,6 +178,6 @@ def test_quotient_local_minimality(params_case2, rng):
 
     assert s_quotient(psif) == pytest.approx(const.c_inv, rel=1e-12)
     for _ in range(20):
-        noise = model.random_mperp(int(rng.integers(1 << 31)), 1e-3)
+        noise = random_mperp(model, int(rng.integers(1 << 31)), 1e-3)
         perturbed = combine([1.0, 1.0], [psif, noise])
         assert s_quotient(perturbed) >= const.c_inv * (1.0 - 1e-12)

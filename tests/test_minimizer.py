@@ -14,16 +14,16 @@ from cknlab.minimizer import (
     OnManifold,
     _is_even,
     _Objective,
+    degree_one_start,
     dip_start,
     estimate_cbe,
     minimize_quotient,
     quotient,
-    random_start,
 )
 from cknlab.params import make_params
 from cknlab.spectrum import spectral_gap
 from tests.conftest import sample_valid_params
-from tests.oracles import neg_laplacian, numerator_gradient, rho10_function
+from tests.oracles import neg_laplacian, numerator_gradient, random_mperp, rho10_function
 
 
 def psi_plus(model, bump, eps):
@@ -73,8 +73,8 @@ def test_numerator_gradient_matches_finite_differences(params_case2, rng):
     iterates = [combine([1.0, 0.05, 0.02], [model.psi_function(), model.rho02_function(), rho10_function(model)])]
     iterates.append(combine([1.0, 0.1], [model.psi_function(), model.rho02_function()]))
     iterates.append(combine([1.0, 0.2, -0.05], [model.psi_function(), model.rho02_function(), rho10_function(model)]))
-    iterates.append(combine([1.0, 1.0], [model.psi_function(), model.random_mperp(1, 0.3)]))
-    iterates.append(combine([1.0, 1.0], [model.psi_function(), model.random_mperp(2, 0.5)]))
+    iterates.append(combine([1.0, 1.0], [model.psi_function(), random_mperp(model, 1, 0.3)]))
+    iterates.append(combine([1.0, 1.0], [model.psi_function(), random_mperp(model, 2, 0.5)]))
     for v in iterates:
         grads = numerator_gradient(model, v)
         for _ in range(2):
@@ -216,10 +216,10 @@ def test_minimize_scaling_invariance(params_case2):
     assert first_long.value == pytest.approx(second_long.value, abs=1e-4)
 
 
-def test_minimize_deterministic_under_seed(params_case2):
+def test_minimize_deterministic(params_case2):
     model = model_for(params_case2)
-    first = minimize_quotient(random_start(model, 11)[1], 8)
-    second = minimize_quotient(random_start(model, 11)[1], 8)
+    first = minimize_quotient(degree_one_start(model)[1], 8)
+    second = minimize_quotient(degree_one_start(model)[1], 8)
     assert first.trace == second.trace
     assert first.value == second.value
 
@@ -248,7 +248,7 @@ def test_minimize_remaining_region_stays_above_gap(params_remaining):
 
 def test_estimate_cbe_bounds_per_region(params_case1, params_case2, params_remaining):
     for params in (params_case1, params_case2, params_remaining):
-        report = estimate_cbe(params, starts=1, seed=3)
+        report = estimate_cbe(params)
         ceiling = min(report.bounds.bound_gap, report.bounds.bound_two_bubble) + 1e-3
         assert 1e-4 < report.value <= ceiling
 
@@ -259,7 +259,7 @@ def test_estimate_cbe_bounds_per_region(params_case1, params_case2, params_remai
 def test_estimate_cbe_within_bounds_where_the_dip_ends_above_the_gap(point):
     # Remaining points where the dip descent ends above the gap bound + 1e-3;
     # the rho10 perturbation of Psi brings the best result under the ceiling
-    report = estimate_cbe(make_params(*point), starts=1, seed=7)
+    report = estimate_cbe(make_params(*point))
     ceiling = min(report.bounds.bound_gap, report.bounds.bound_two_bubble) + 1e-3
     assert 0.0 < report.value <= ceiling
 
@@ -281,7 +281,7 @@ _LIMIT_POINTS = [
 def test_estimate_cbe_never_reports_above_the_gap_bound(point):
     # Q(Psi + eps rho*) -> gap bound as eps -> 0, so c_BE <= gap bound
     params = make_params(*point)
-    report = estimate_cbe(params, starts=1, seed=7)
+    report = estimate_cbe(params)
     assert report.value <= report.bounds.bound_gap
     if report.stop == "limit":
         assert report.value == report.bounds.bound_gap
@@ -293,17 +293,48 @@ def test_estimate_cbe_never_reports_above_the_gap_bound(point):
 
 
 def test_estimate_cbe_deterministic(params_case2):
-    first = estimate_cbe(params_case2, starts=1, seed=5, max_iterations=15)
-    second = estimate_cbe(params_case2, starts=1, seed=5, max_iterations=15)
+    first = estimate_cbe(params_case2, max_iterations=15)
+    second = estimate_cbe(params_case2, max_iterations=15)
     assert first.trace == second.trace
     assert first.value == second.value
     assert first.start == second.start
 
 
-# best quotients at the acceptance minimizer points (starts=1, seed=7): the
-# two-bubble dip descended in H1 along even functions, stopped on the gradient;
-# the random start reaches the same minimum to about 1e-12 and must not take
-# the label from the dip
+@pytest.mark.parametrize("point", [(4, 0.5, 0.6), (5, 0.0, 0.125)])
+def test_estimate_cbe_ignores_starts_and_seed(point):
+    # both are accepted for old callers and select nothing; repr compares the
+    # NaN fields of a gap limit too
+    params = make_params(*point)
+    assert repr(estimate_cbe(params, starts=1, seed=7)) == repr(estimate_cbe(params))
+
+
+def test_degree_one_start_finds_a_non_radial_minimum_below_the_gap_bound():
+    # Remaining, p = 5.25: the dip descent stalls at 0.4941216142, above the
+    # gap bound 0.4705923699, while Psi + c rho10 descends 1.69e-4 below it
+    params = make_params(2, -0.2222988646473374, 0.09746949552699287)
+    report = estimate_cbe(params)
+    assert report.value == pytest.approx(0.4704234835, rel=1e-8)
+    assert report.value < report.bounds.bound_gap - 1e-4
+    assert report.start == "degree-one start"
+
+
+def test_degree_one_start_is_psi_plus_a_multiple_of_rho10(params_case2):
+    model = model_for(params_case2)
+    label, start = degree_one_start(model)
+    assert label == "degree-one start"
+    assert start.degrees == (0, 1)
+    assert np.array_equal(start.mode(0), model.psi_function().mode(0))
+    # degree one holds a multiple of rho10 of H1 size 0.05 |Psi|_H1
+    rho = rho10_function(model)
+    c = 0.05 * math.sqrt(model.energy_psi / model.h1_inner(rho, rho))
+    assert np.allclose(start.mode(1), c * rho.mode(1), rtol=1e-12, atol=0.0)
+    assert _is_even(start)
+
+
+# best quotients at the acceptance minimizer points: the two-bubble dip
+# descended in H1 along even functions, stopped on the gradient; at the first
+# two the degree-one start reaches the same minimum to about 1e-12 and must
+# not take the label from the dip
 REFERENCE_VALUES = {
     (4, 0.5, 0.6): 0.37602230543720194,
     (4, 0.0, 0.5): 0.2385193368718684,
@@ -321,7 +352,7 @@ REFERENCE_VALUES = {
     ],
 )
 def test_estimate_cbe_matches_reference_values(point, old_pin):
-    report = estimate_cbe(make_params(*point), starts=1, seed=7)
+    report = estimate_cbe(make_params(*point))
     assert report.value == pytest.approx(REFERENCE_VALUES[point], rel=1e-8)
     assert report.value <= old_pin
     assert report.stop == "gradient"
@@ -400,7 +431,7 @@ def test_descent_near_the_manifold_never_undercuts_the_gap_bound():
     report = minimize_quotient(psi_plus(model, rho10_function(model), 1e-3), 60)
     gap = report.bounds.bound_gap
     assert report.stop == "manifold" or report.value >= gap - 1e-3
-    assert estimate_cbe(params, starts=1, seed=7).value <= gap
+    assert estimate_cbe(params).value <= gap
 
 
 def test_estimate_cbe_counts_manifold_stops_as_the_gap_limit(monkeypatch):
@@ -413,5 +444,5 @@ def test_estimate_cbe_counts_manifold_stops_as_the_gap_limit(monkeypatch):
         return replace(real(start, 1), value=gap - 1e-8, stop="manifold")
 
     monkeypatch.setattr(minimizer, "minimize_quotient", near_manifold)
-    report = estimate_cbe(params, starts=2, seed=7)
+    report = estimate_cbe(params)
     assert (report.value, report.start, report.stop) == (gap, "gap limit", "limit")
