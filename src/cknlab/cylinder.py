@@ -122,7 +122,6 @@ class ManifoldProjection:
     that its distance is measured against."""
 
     shift: float
-    scalar: float
     overlap: float
     distance_sq: float
     edge_attained: bool
@@ -241,18 +240,18 @@ class CylinderModel:
         """The function whose degree-``degrees[k]`` profile is ``values[k]``."""
         return CylinderFunction(self.params, self.grid, degrees, values)
 
-    def psi_function(self, shift: float = 0.0, scalar: float = 1.0) -> CylinderFunction:
-        values = self.psi_values if shift == 0.0 else psi(self.params, self.t - shift)
-        return self.function({0: scalar * self.sqrt_area * values})
+    def psi_function(self) -> CylinderFunction:
+        return self.function({0: self.sqrt_area * self.psi_values})
 
     def rho02_function(self) -> CylinderFunction:
         return self.function({0: self.sqrt_area * rho_02(self.params, self.t)})
 
     def two_bubble(self, s: float) -> CylinderFunction:
+        """The centred pair Psi_{-s/2} + Psi_{s/2}, even in t."""
         if s >= self.grid.half_width:
-            raise ValueError("second bubble does not fit the grid")
-        values = self.psi_values + psi(self.params, self.t - s)
-        return self.function({0: self.sqrt_area * values})
+            raise ValueError("bubble centres +-s/2 must lie inside the search window")
+        pair = psi(self.params, self.t + 0.5 * s) + psi(self.params, self.t - 0.5 * s)
+        return self.function({0: self.sqrt_area * pair})
 
     # ------------------------------------------------------------------
     # norms and inner products
@@ -361,12 +360,14 @@ class CylinderModel:
             # each factor, not their product, which may overflow while they are finite
             if not (math.isfinite(ov) and math.isfinite(d1) and math.isfinite(d2)):
                 raise SearchFailure("shift refinement met a non-finite overlap")
-            # keep the maximum of ov^2 bracketed: it rises to the right when ov * d1 > 0
-            if ov * d1 > 0.0:
+            # keep the maximum of ov^2 bracketed: it rises to the right when ov * d1 > 0;
+            # the sign of ov stands in for ov, since near p -> 1 ov * d1 can underflow
+            sign = (ov > 0.0) - (ov < 0.0)
+            if sign * d1 > 0.0:
                 lo = s_star
             else:
                 hi = s_star
-            step = -d1 / d2 if ov * d2 < 0.0 else math.inf
+            step = -d1 / d2 if sign * d2 < 0.0 else math.inf
             if not (lo <= s_star + step <= hi and abs(step) <= 0.5 * abs(last_step)):
                 step = 0.5 * (lo + hi) - s_star
             s_star += step
@@ -395,7 +396,6 @@ class CylinderModel:
         h1_sq = self.h1_inner(v, v)
         return ManifoldProjection(
             shift=s_star,
-            scalar=ov / self.lp1_pow_psi,
             overlap=ov,
             distance_sq=h1_sq - self.kappa * ov * ov,
             edge_attained=best <= 1 or best >= len(shifts) - 2,

@@ -28,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .extremals import log_amplitude
 from .params import CknParams, InvalidParameters, RegionClass, classify, curve_constants
 from .specfun import beta, sphere_moments
 from .spectrum import eigenvalue_closed, spectral_gap
@@ -54,12 +55,6 @@ __all__ = [
 DEFICIT_NOISE = 1e3
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
-
-
-def _log_amplitude(params: CknParams) -> float:
-    """log of the bubble amplitude ((p+1)(a_c-a)^2/2)^(1/(p-1)), which itself
-    leaves the double range near p -> 1."""
-    return math.log((params.p + 1.0) * params.ac_minus_a**2 / 2.0) / (params.p - 1.0)
 
 
 def _exp(log_value: float) -> float:
@@ -114,7 +109,7 @@ def _log_third_order(params: CknParams) -> float:
     constant = 2.0 * (p + 1.0) * p**3 * (p + 3.0) / (g * (7.0 * p - 3.0) * (5.0 * p - 1.0))
     return (
         math.log(constant * sphere_moments(params.N).area)
-        + (p - 2.0) * _log_amplitude(params)
+        + (p - 2.0) * log_amplitude(params)
         + math.lgamma(m) + math.lgamma(0.5) - math.lgamma(m + 0.5)
         - 3.0 * math.log(p - 1.0)
     )
@@ -159,7 +154,7 @@ def rho02_h1_norm_sq(params: CknParams) -> float:
 def _log_a0(params: CknParams) -> float:
     p, g = params.p, params.gamma
     return (
-        (p + 1.0) * _log_amplitude(params)
+        (p + 1.0) * log_amplitude(params)
         + math.log(sphere_moments(params.N).area)
         + (p + 3.0) / (p - 1.0) * _LN2
         + math.log((p - 1.0) / (g * (p + 1.0)))
@@ -204,8 +199,13 @@ class TwoBubbleReport:
 
 
 def two_bubble_quotient(params: CknParams, s: float) -> TwoBubbleReport:
-    """Q(Psi + Psi_s) together with the predicted exponential deficit.
+    """Q of the two bubbles s apart, together with the predicted exponential
+    deficit.
 
+    The function is ``CylinderModel.two_bubble(s)``, the centred pair
+    Psi_{-s/2} + Psi_{s/2} that the dip search also evaluates; Q is
+    translation invariant, so it is Q(Psi + Psi_s).  Being even, the pair
+    has two tied maximizing shifts, and ``shift`` is either, about +-s/2.
     ``predicted_deficit_rate`` is the rate constant implied by the norm and
     distance expansions, 2 (2^(2/(p+1)) - 1) A0 / |Psi|_H1^2; the published
     display variant 2 A0 C^(2/(p-1)) is reported alongside for comparison.
@@ -338,7 +338,7 @@ def zhat(params: CknParams) -> ZhatReport:
     # amp^(p-1) = (p+1) d^2/2 exactly, and |Psi|_H1^2 = amp^(p+1) |S| b3/gamma, so
     # moment2^2/|Psi|_H1^2 = amp^(p-3) second^2 b2^2/(gamma |S| b3) with no amp^(p+1);
     # amp^(p-3), which leaves the double range near p -> 1, goes as its logarithm
-    log_scale = (p - 3.0) * _log_amplitude(params)
+    log_scale = (p - 3.0) * log_amplitude(params)
     value_var = _scaled(
         p * (p - 1.0) * (p - 2.0) / 12.0 * moments.fourth / g * b1
         - (p - 1.0) * p**2 / 4.0 * moments.second**2 * b2 * b2 / (g * area * b3),

@@ -23,7 +23,6 @@ from .params import CknParams
 from .specfun import beta, log_cosh, sphere_area
 
 __all__ = [
-    "ExtremalProfile",
     "GridSpec",
     "OptimalConstant",
     "PsiNorms",
@@ -31,30 +30,18 @@ __all__ = [
     "bubble_w_prime",
     "default_grid",
     "generator_v",
+    "log_amplitude",
     "optimal_constant",
-    "profile",
     "psi",
     "psi_norms",
     "psi_prime",
 ]
 
 
-@dataclass(frozen=True)
-class ExtremalProfile:
-    """Amplitude and decay rate of the cylinder bubble."""
-
-    params: CknParams
-    amplitude: float
-    decay_rate: float
-
-
-def profile(params: CknParams) -> ExtremalProfile:
-    p, d = params.p, params.ac_minus_a
-    return ExtremalProfile(
-        params=params,
-        amplitude=((p + 1.0) * d * d / 2.0) ** (1.0 / (p - 1.0)),
-        decay_rate=params.gamma,
-    )
+def log_amplitude(params: CknParams) -> float:
+    """log of the bubble amplitude ((p+1)(a_c-a)^2/2)^(1/(p-1)), which itself
+    leaves the double range near p -> 1; every amplitude power is built from it."""
+    return math.log((params.p + 1.0) * params.ac_minus_a**2 / 2.0) / (params.p - 1.0)
 
 
 # default_grid: powers of two from GRID_MIN_NODES up to GRID_MAX_NODES, with
@@ -104,11 +91,12 @@ def default_grid(params: CknParams) -> GridSpec:
 
 
 def psi(params: CknParams, t):
-    """Cylinder bubble Psi(t); vectorized and overflow-safe."""
+    """Cylinder bubble Psi(t), vectorized: the amplitude enters through its
+    logarithm and is never formed on its own, so Psi is finite wherever its
+    value lies in the double range."""
     import numpy as np
 
-    amp = profile(params).amplitude
-    return amp * np.exp(-(2.0 / (params.p - 1.0)) * log_cosh(params.gamma * t))
+    return np.exp(log_amplitude(params) - (2.0 / (params.p - 1.0)) * log_cosh(params.gamma * t))
 
 
 def psi_prime(params: CknParams, t):
@@ -116,6 +104,11 @@ def psi_prime(params: CknParams, t):
     import numpy as np
 
     return -params.ac_minus_a * np.tanh(params.gamma * t) * psi(params, t)
+
+
+def _w_amplitude(params: CknParams) -> float:
+    # W(0) is 2^(2/(p-1)) times Psi's amplitude, as Psi(t) = e^(-(a_c-a) t) W(e^-t)
+    return math.exp(log_amplitude(params) + 2.0 * math.log(2.0) / (params.p - 1.0))
 
 
 def bubble_w(params: CknParams, x_radius):
@@ -126,8 +119,7 @@ def bubble_w(params: CknParams, x_radius):
     if np.any(r < 0.0):
         raise ValueError("radius must be nonnegative")
     p, d = params.p, params.ac_minus_a
-    amp = (2.0 * (p + 1.0) * d * d) ** (1.0 / (p - 1.0))
-    return amp * (1.0 + r ** (d * (p - 1.0))) ** (-2.0 / (p - 1.0))
+    return _w_amplitude(params) * (1.0 + r ** (d * (p - 1.0))) ** (-2.0 / (p - 1.0))
 
 
 def bubble_w_prime(params: CknParams, x_radius):
@@ -139,7 +131,7 @@ def bubble_w_prime(params: CknParams, x_radius):
         raise ValueError("radius must be positive")
     p, d = params.p, params.ac_minus_a
     e = d * (p - 1.0)
-    amp = (2.0 * (p + 1.0) * d * d) ** (1.0 / (p - 1.0))
+    amp = _w_amplitude(params)
     return amp * (-2.0 / (p - 1.0)) * (1.0 + r**e) ** (-2.0 / (p - 1.0) - 1.0) * e * r ** (e - 1.0)
 
 
@@ -166,9 +158,8 @@ class PsiNorms:
 def psi_norms(params: CknParams) -> PsiNorms:
     """Closed-form |Psi|_H1^2 and |Psi|_{p+1} via the Beta identity."""
     p = params.p
-    amp = profile(params).amplitude
     lp1_pow = (
-        amp ** (p + 1.0)
+        math.exp((p + 1.0) * log_amplitude(params))
         * sphere_area(params.N)
         / params.gamma
         * beta((p + 1.0) / (p - 1.0), 0.5)

@@ -44,7 +44,6 @@ from .cylinder import (
     scale,
 )
 from .energy import BoundsReport, bounds_report
-from .extremals import psi
 from .params import CknParams, NoDescent, NumericalFailure, OnManifold
 from .spectrum import rho_10_profile
 
@@ -168,8 +167,8 @@ class _Objective:
 
 
 def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
-    """The centred two-bubble function Psi_{-s/2} + Psi_{s/2} of least Q found
-    by a bracketed search in s * gamma, with its start label.
+    """The two-bubble function ``model.two_bubble(s)`` of least Q found by a
+    bracketed search in s * gamma, with its start label.
 
     The coarse scan DIP_SCAN (0.5, 1.0, ..., 6.0) brackets the dip; golden
     sections refine the DIP_BRACKET neighbourhood of its best, inside the
@@ -181,8 +180,7 @@ def dip_start(model: CylinderModel) -> tuple[str, CylinderFunction]:
 
     def q_at(x: float) -> float:
         s = x / params.gamma
-        pair = psi(params, model.t + 0.5 * s) + psi(params, model.t - 0.5 * s)
-        v = model.function({0: model.sqrt_area * pair})
+        v = model.two_bubble(s)
         q, _, _ = model.quotient(v)
         # a separation that lands on the manifold has no quotient
         q = math.inf if math.isnan(q) else q

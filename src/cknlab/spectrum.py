@@ -191,11 +191,9 @@ def rho_02(params: CknParams, t):
 
 def rho_10_profile(params: CknParams, t):
     """Axis profile cosh(gamma t)^(-sqrt(tau_1)/gamma) of the degree-one
-    ground state; multiplies a raw coordinate function theta_l."""
-    import numpy as np
-
-    k = math.sqrt(params.tau(1)) / params.gamma
-    return np.exp(-k * log_cosh(params.gamma * np.asarray(t, dtype=float)))
+    ground state, the (1, 0) mode with P_0 = 1; multiplies a raw coordinate
+    function theta_l."""
+    return _eigenfunction_raw(params, 1, 0, t)
 
 
 def rho_10(params: CknParams, t, polar_angle):

@@ -9,10 +9,22 @@ import numpy as np
 from scipy import integrate
 
 from cknlab.cylinder import CylinderFunction, CylinderModel, combine, scale
-from cknlab.extremals import profile, psi, psi_prime
+from cknlab.extremals import psi, psi_prime
 from cknlab.params import CknParams
 from cknlab.specfun import beta, integrate_line, jacobi_polynomial, log_cosh, sphere_area
 from cknlab.spectrum import rho_02, rho_10_profile
+
+
+def amplitude(params: CknParams) -> float:
+    """The bubble amplitude ((p+1)(a_c-a)^2/2)^(1/(p-1)), formed directly;
+    it overflows near p -> 1."""
+    p, d = params.p, params.ac_minus_a
+    return ((p + 1.0) * d * d / 2.0) ** (1.0 / (p - 1.0))
+
+
+def bubble_function(model: CylinderModel, shift: float, scalar: float = 1.0) -> CylinderFunction:
+    """scalar * Psi(t - shift) on the model's grid, a point of the bubble manifold."""
+    return model.function({0: scalar * model.sqrt_area * psi(model.params, model.t - shift)})
 
 
 def emden_fowler_image(params: CknParams, radial: Callable[[np.ndarray], np.ndarray], t):
@@ -75,8 +87,7 @@ def a0_quadrature(params: CknParams) -> float:
 
     rate = 1.8 * g
     line = integrate_line(integrand, (40.0 + max(0.0, -math.log(rate))) / rate)
-    amp = profile(params).amplitude
-    return amp ** (p + 1.0) * sphere_area(params.N) * 2.0 ** (2.0 / (p - 1.0)) * line
+    return amplitude(params) ** (p + 1.0) * sphere_area(params.N) * 2.0 ** (2.0 / (p - 1.0)) * line
 
 
 def jacobi_mode(params: CknParams, i: int, j: int, t):

@@ -306,6 +306,16 @@ def test_numerical_failure_exit_code(command):
         assert doc["appendix"]["sign_negative"]
 
 
+def test_exit_codes_where_the_log_amplitude_passes_709():
+    # p = 1.0037: Psi overflows at its core, so minimize names that before it
+    # builds a start, and energy's shift search meets a non-finite overlap
+    point = ["7", "--", "-1.5425261202515272", "-0.5489221307086825"]
+    for command, kind in (("minimize", "NumericalFailure"), ("energy", "SearchFailure")):
+        code, out = run_cli([command, *point])
+        assert code == 3
+        assert json.loads(out)["kind"] == kind
+
+
 def same_as_api(got, want) -> bool:
     """Does a JSON value equal the API value it was printed from, NaN as null?"""
     if dataclasses.is_dataclass(want):

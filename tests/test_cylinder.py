@@ -21,6 +21,7 @@ from cknlab.extremals import GridSpec, default_grid, psi, psi_norms
 from cknlab.params import felli_schneider, make_params
 from tests.conftest import sample_valid_params
 from tests.oracles import (
+    bubble_function,
     derivative_dot_h1_inner,
     lp1_norm,
     project_mperp,
@@ -275,18 +276,18 @@ def test_distance_of_bubble_is_zero(params_case2):
     projection = model.distance_to_manifold(model.psi_function())
     assert projection.distance_sq < 1e-8 * model.energy_psi
     assert abs(projection.shift) < 1e-6
-    assert projection.scalar == pytest.approx(1.0, rel=1e-10)
+    assert projection.overlap / model.lp1_pow_psi == pytest.approx(1.0, rel=1e-10)
 
 
 def test_distance_of_scaled_shifted_bubble(params_case2):
     model = model_for(params_case2)
     # off-grid shifts: the refinement, not the grid scan, has to resolve them
     for s0 in (2.0, 2.0 + 0.37 * model.h, -1.3 + 0.81 * model.h):
-        v = model.psi_function(shift=s0, scalar=3.0)
+        v = bubble_function(model, shift=s0, scalar=3.0)
         projection = model.distance_to_manifold(v)
         assert projection.distance_sq < 1e-8 * model.h1_inner(v, v)
         assert abs(projection.shift - s0) <= 1e-10
-        assert projection.scalar == pytest.approx(3.0, rel=1e-9)
+        assert projection.overlap / model.lp1_pow_psi == pytest.approx(3.0, rel=1e-9)
         assert not projection.edge_attained
 
 
@@ -329,8 +330,20 @@ def test_two_bubble_overlap_maximizer_tracks_bubble(params_p3):
     v = model.two_bubble(s0)
     projection = model.distance_to_manifold(v)
     bound = 10.0 * math.exp(-g * s0 / (params_p3.p - 1.0))
-    assert min(abs(projection.shift), abs(projection.shift - s0)) < bound
+    # the centred pair's bubbles sit at -s0/2 and s0/2
+    assert abs(abs(projection.shift) - 0.5 * s0) < bound
     assert not projection.edge_attained
+
+
+def test_projection_of_psi_where_the_overlap_products_underflow():
+    # p = 1.0304, amplitude e^-208: near the maximizing shift ov * d1 and
+    # ov * d2 underflow to zero, so only the sign of ov may steer the refinement
+    params = make_params(6, 1.9584180396022939, 2.9134430682605545)
+    model = model_for(params)
+    for s0 in (0.0, 0.37 * model.h):
+        projection = model.distance_to_manifold(bubble_function(model, shift=s0))
+        assert abs(projection.shift - s0) <= 1e-10 * model.h
+        assert projection.distance_sq <= 1e-8 * model.energy_psi
 
 
 def test_projection_of_psi_where_the_squared_overlap_overflows():

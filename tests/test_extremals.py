@@ -9,7 +9,6 @@ from cknlab.extremals import (
     bubble_w_prime,
     generator_v,
     optimal_constant,
-    profile,
     psi,
     psi_norms,
     psi_prime,
@@ -17,7 +16,7 @@ from cknlab.extremals import (
 from cknlab.params import make_params
 from cknlab.specfun import sphere_area
 from tests.conftest import sample_valid_params
-from tests.oracles import emden_fowler_image, psi_second, random_mperp
+from tests.oracles import amplitude, emden_fowler_image, psi_second, random_mperp
 
 
 def h1_quadrature(params, f, fp, half=None):
@@ -30,11 +29,27 @@ def h1_quadrature(params, f, fp, half=None):
 
 
 def test_psi_at_zero_and_parity(params_case2):
-    amp = profile(params_case2).amplitude
-    assert psi(params_case2, 0.0) == pytest.approx(amp, rel=1e-14)
+    assert psi(params_case2, 0.0) == pytest.approx(amplitude(params_case2), rel=1e-14)
     ts = np.linspace(0.1, 8.0, 20)
     assert np.allclose(psi_prime(params_case2, -ts), -psi_prime(params_case2, ts), rtol=1e-13)
     assert psi_prime(params_case2, 0.0) == 0.0
+
+
+def test_psi_is_the_amplitude_times_a_sech_power(rng):
+    # the reference forms the amplitude directly; both forms round the exponent
+    # log(amplitude) - 2/(p-1) log cosh(gamma t), so they agree to 1e-14
+    # relative per unit of its size
+    for _ in range(200):
+        params = sample_valid_params(rng)
+        try:
+            amp = amplitude(params)
+        except OverflowError:
+            continue
+        t = np.linspace(-3.0, 3.0, 61) / params.gamma
+        k = 2.0 / (params.p - 1.0)
+        reference = amp * np.cosh(params.gamma * t) ** -k
+        size = np.maximum(1.0, abs(math.log(amp)) + k * np.log(np.cosh(params.gamma * t)))
+        assert np.all(np.abs(psi(params, t) - reference) <= 1e-14 * size * reference)
 
 
 def test_cylinder_pde_residual(params_case2):

@@ -7,7 +7,6 @@ import pytest
 from cknlab import minimizer
 from cknlab.cylinder import combine, model_for, scale
 from cknlab.energy import bounds_report, zhat
-from cknlab.extremals import psi
 from cknlab.minimizer import (
     EVEN_TOL,
     NumericalFailure,
@@ -23,7 +22,13 @@ from cknlab.minimizer import (
 from cknlab.params import make_params
 from cknlab.spectrum import spectral_gap
 from tests.conftest import sample_valid_params
-from tests.oracles import neg_laplacian, numerator_gradient, random_mperp, rho10_function
+from tests.oracles import (
+    bubble_function,
+    neg_laplacian,
+    numerator_gradient,
+    random_mperp,
+    rho10_function,
+)
 
 
 def psi_plus(model, bump, eps):
@@ -175,7 +180,7 @@ def test_quotient_gradient_matches_finite_differences(params_case2):
     model = model_for(params_case2)
     objective = _Objective(model)
     rng = np.random.default_rng(5)
-    shifted = model.psi_function(shift=2.0 / params_case2.gamma)
+    shifted = bubble_function(model, shift=2.0 / params_case2.gamma)
     v = combine([1.0, 0.5, 0.1], [model.psi_function(), shifted, rho10_function(model)])
     it = objective.normalized(v)
     grads = objective.gradient(it)
@@ -376,7 +381,8 @@ def test_dip_start_is_even_on_a_grid_symmetric_to_one_ulp(params_case1, params_r
         assert not np.array_equal(model.t, -model.t[::-1])
         assert np.max(np.abs(model.t + model.t[::-1])) <= EVEN_TOL * model.grid.half_width
         assert _is_even(dip_start(model)[1])
-        assert not _is_even(model.two_bubble(8.0 / params.gamma))
+        second = bubble_function(model, 8.0 / params.gamma)
+        assert not _is_even(combine([1.0, 1.0], [model.psi_function(), second]))
 
 
 def test_radial_minimum_depends_on_p_alone():
@@ -417,8 +423,7 @@ def test_dip_start_is_no_worse_than_the_separation_grid(point):
     model = model_for(params)
     grid = []
     for s in np.arange(5, 61) / 10.0 / params.gamma:
-        pair = psi(params, model.t + 0.5 * s) + psi(params, model.t - 0.5 * s)
-        grid.append(model.quotient(model.function({0: model.sqrt_area * pair}))[0])
+        grid.append(model.quotient(model.two_bubble(s))[0])
     _, start = dip_start(model)
     assert model.quotient(start)[0] <= min(grid)
 
@@ -432,6 +437,14 @@ def test_descent_near_the_manifold_never_undercuts_the_gap_bound():
     gap = report.bounds.bound_gap
     assert report.stop == "manifold" or report.value >= gap - 1e-3
     assert estimate_cbe(params).value <= gap
+
+
+def test_estimate_cbe_names_a_psi_past_the_double_range():
+    # p = 1.0037: the log amplitude, 763, is past log(max double) = 709.8, so Psi
+    # overflows at its core and the model's constants are NaN
+    params = make_params(7, -1.5425261202515272, -0.5489221307086825)
+    with pytest.raises(NumericalFailure, match="Psi overflows on the grid"):
+        estimate_cbe(params)
 
 
 def test_estimate_cbe_counts_manifold_stops_as_the_gap_limit(monkeypatch):

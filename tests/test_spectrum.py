@@ -5,7 +5,7 @@ import pytest
 
 from cknlab.extremals import psi
 from cknlab.params import RegionClass, classify, curve_constants, felli_schneider, make_params
-from cknlab.specfun import jacobi_polynomial
+from cknlab.specfun import jacobi_polynomial, log_cosh
 from cknlab.spectrum import (
     eigenvalue_closed,
     eigenfunction,
@@ -226,6 +226,15 @@ def test_rho10_shape(params_remaining):
     assert np.allclose(rho_10(params_remaining, t, math.pi / 2.0), 0.0, atol=1e-16)
     k = math.sqrt(params_remaining.tau(1)) / params_remaining.gamma
     assert prof[0] == pytest.approx(math.cosh(params_remaining.gamma * t[0]) ** (-k), rel=1e-12)
+
+
+def test_rho10_profile_is_the_bare_envelope_bit_for_bit(rng):
+    # rho_10_profile is the (1, 0) mode of the eigenfunction body, where P_0 = 1
+    for _ in range(20):
+        params = sample_valid_params(rng)
+        t = np.linspace(-10.0, 10.0, 201) / params.gamma
+        k = math.sqrt(params.tau(1)) / params.gamma
+        assert np.array_equal(rho_10_profile(params, t), np.exp(-k * log_cosh(params.gamma * t)))
 
 
 def test_orthogonality_report(params_case2):
